@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments import get_experiment
+from repro.experiments import get_spec
 
 
 def bench_record(
@@ -55,7 +55,7 @@ def write_bench_records(
 def run_experiment_benchmark(benchmark, exp_id: str, quick: bool = False):
     """Time one full experiment, print its table, and assert it passed."""
     result = benchmark.pedantic(
-        get_experiment(exp_id), args=(quick,), rounds=1, iterations=1
+        get_spec(exp_id).run, args=(quick,), rounds=1, iterations=1
     )
     print()
     print(result.render())

@@ -29,6 +29,11 @@ Usage::
     ring-repro ledger check         # gate: newest run vs drift bands
     python -m repro.cli E9          # equivalent module form
 
+The first token picks the command (case-insensitive); any other first
+token starts an experiment run.  Each command has its own parser and
+flags — ``ring-repro <command> --help`` lists them — so a flag given to
+a command that does not read it is a usage error (exit 2).
+
 Presets select a sweep variant per experiment: ``quick`` (unit-test
 sizes), ``full`` (the EXPERIMENTS.md tables, default), and ``long`` —
 the counter-only experiments (E1, E7-E11) at ring sizes up to ~1.6*10^4,
@@ -48,28 +53,19 @@ surface the PASS/FAIL tally).  Mode is part of each cell's identity:
 model-backed and simulated records of the same (experiment, size) are
 distinct store entries, so neither ever invalidates the other.
 
-Execution is a *campaign*: every requested experiment's plan of
-independent ``(experiment, size)`` cells is flattened into one global
-list and scheduled heaviest-first on a single shared pool — ``--jobs N``
-means N workers for the whole campaign, not per experiment, so heavy
-Θ(n²) cells of one experiment interleave with everyone else's instead
-of serializing behind a per-experiment barrier.  Each experiment's
-table prints the moment its own last cell lands (output order is still
-request order, and tables are byte-identical to serial runs: every
-cell's RNG seed derives from its identity, and records fold in plan
-order).  Every measured cell persists as a JSON record under ``runs/``
-as it lands (``--store DIR`` to relocate, ``--no-store`` to disable).
-``--resume`` reuses stored records whose config hash still matches, so
-an interrupted campaign continues from what it already measured.
+Execution is a *campaign*: every requested experiment's cells are
+flattened into one list and scheduled heaviest-first on a single shared
+pool — ``--jobs N`` means N workers for the whole campaign.  Tables
+print in request order and are byte-identical to serial runs (every
+cell's RNG seed derives from its identity).  Every measured cell
+persists as a JSON record under ``runs/`` (``--store DIR`` relocates,
+``--no-store`` disables); ``--resume`` reuses stored records whose
+config hash still matches.
 
-Cells that declare a ``split`` hook are *divisible*: the campaign
-schedules their subtasks as first-class pool work items (so one heavy
-cell no longer pins the makespan to its own wall clock) and folds the
-part records back into the exact cell record the monolithic path
-produces — tables and stores are byte-identical either way, because
-every part derives its randomness from a subtask seed on both paths.
-Landed parts persist as ``.json.part`` records, so ``--resume``
-restarts mid-cell; ``REPRO_NO_SPLIT=1`` disables splitting entirely,
+Cells that declare a ``split`` hook are *divisible*: their subtasks
+are pool work items folded back into the exact record the monolithic
+path produces.  Landed parts persist as ``.json.part`` records, so
+``--resume`` restarts mid-cell; ``REPRO_NO_SPLIT=1`` disables splitting,
 keeping the undivided path available as the oracle.
 
 ``report`` renders entirely from the store and runs no simulations:
@@ -83,27 +79,20 @@ deletes nothing; records belonging to other ``--sizes`` overrides are
 never stale and never touched).
 
 ``--shard i/N`` turns one run into fleet leg ``i`` of ``N``: the
-campaign's global cell list is partitioned deterministically
-(:mod:`repro.runner.sharding`), so N machines running the same
-command with ``--shard 1/N .. N/N`` measure disjoint, covering subsets
-into their own stores — campaign throughput scales with machines, not
-cores.  ``--shard-strategy`` picks the partition: ``hash`` (default)
-assigns each cell by a stable identity hash, while ``weight`` runs a
-deterministic LPT pass over the campaign's planned cell weights so
-heavy-tailed fleets balance their makespans (PERFORMANCE.md layer 9)
-— every leg must then request the same experiments, preset, and mode.
-Experiments whose cells all land locally still print their tables;
-the rest stay partial until ``ingest`` merges the fleet.
+campaign's cell list is partitioned deterministically
+(:mod:`repro.runner.sharding`), so N machines running the same command
+with ``--shard 1/N .. N/N`` measure disjoint, covering subsets into
+their own stores.  ``--shard-strategy`` picks the partition: ``hash``
+(default, a stable identity hash) or ``weight`` (LPT over planned cell
+weights; every leg must then request the same experiments, preset, and
+mode).  Experiments not finalized locally stay partial until ``ingest``.
 
 ``ingest SRC... --into DIR`` merges shard stores into one fleet store
-(:mod:`repro.runner.ingest`): identical records (same key and config
-hash) are deduped keeping the older copy, same-key records with
-*differing* hashes are stale-pruned with a listed report (the hash the
-current code reproduces wins), and corrupt source records are skipped
-with a warning.  ``--strip-seconds`` zeroes per-record wall clocks on
-the way in, which is what lets CI byte-diff a merged fleet store — and
-the ``report``/``dashboard`` output rendered from it — against an
-unsharded baseline.
+(:mod:`repro.runner.ingest`): identical records are deduped, same-key
+records with differing hashes are stale-pruned with a listed report,
+and corrupt source records are skipped with a warning.
+``--strip-seconds`` zeroes per-record wall clocks, so a merged fleet
+store byte-diffs against an unsharded baseline.
 
 ``dashboard`` renders the store as a static site (``repro.dashboard``):
 ``index.html`` plus one page per experiment with SVG growth curves,
@@ -112,14 +101,13 @@ config-hash provenance and stale warnings, and machine exports
 (``campaign.json``, per-experiment ``cells.csv``,
 ``bench-trajectory.json``).  Like ``report`` it never simulates; unlike
 ``report`` an incomplete or empty store is not an error — pages say
-what is missing and the build exits 0.  ``--out DIR`` picks the output
-directory (default ``dashboard/``), ``--open`` opens the index in a
-browser, ``--jobs N`` sets the timeline's replayed worker count.
-Output is byte-deterministic for a fixed store (CI diffs two renders).  ``--profile`` prints per-experiment
-cost as the *sum of per-cell wall clocks* (meaningful under any
-``--jobs``), sorted heaviest first, plus a campaign utilization line
-(busy worker-seconds / wall * jobs).  Exit status is non-zero when any
-executed experiment's claim check fails.
+what is missing and the build exits 0.  Output is byte-deterministic
+for a fixed store (CI diffs two renders).
+
+``--profile`` prints per-experiment cost as the *sum of per-cell wall
+clocks* (meaningful under any ``--jobs``), sorted heaviest first, plus
+a campaign utilization line (busy worker-seconds / wall * jobs).  Exit
+status is non-zero when any executed experiment's claim check fails.
 
 Every campaign also journals its spans — cells, subtasks, folds,
 finalizes, store writes — to an append-only JSONL sidecar under
@@ -159,7 +147,14 @@ from repro.runner import (
 )
 from repro.runner.store import DEFAULT_STORE_ROOT
 
-__all__ = ["main", "parse_sizes", "build_profile"]
+__all__ = [
+    "COMMANDS",
+    "build_profile",
+    "command_parser",
+    "main",
+    "parse_command",
+    "parse_sizes",
+]
 
 
 def parse_sizes(spec: str) -> tuple[int, ...]:
@@ -415,7 +410,7 @@ def _campaign_summary(
 
 
 def _run_report(args, profile: RunProfile, store: RunStore, exp_ids) -> int:
-    """The ``report`` subcommand: render everything from the store."""
+    """The ``report`` command: render everything from the store."""
     failures = 0
     rendered: list[tuple[str, PlanExecution]] = []
     for exp_id in exp_ids:
@@ -466,7 +461,7 @@ def _run_report(args, profile: RunProfile, store: RunStore, exp_ids) -> int:
 
 
 def _run_dashboard(args, profile: RunProfile, store: RunStore) -> int:
-    """The ``dashboard`` subcommand: render the static site + exports.
+    """The ``dashboard`` command: render the static site + exports.
 
     Always exits 0 on a successful build — an empty or partial store
     renders honest "no data" pages rather than failing, because the
@@ -475,21 +470,17 @@ def _run_dashboard(args, profile: RunProfile, store: RunStore) -> int:
     # Imported here so plain experiment runs never pay the import.
     from repro.dashboard import build_dashboard
 
-    out_dir = args.out if args.out is not None else "dashboard"
-    fleet = args.fleet if args.fleet is not None else 1
     written = build_dashboard(
         store,
         profile,
-        out_dir=out_dir,
+        out_dir=args.out,
         timeline_jobs=args.jobs,
-        bench_dir=(
-            args.bench_dir if args.bench_dir is not None else "benchmarks"
-        ),
-        fleet=fleet,
+        bench_dir=args.bench_dir,
+        fleet=args.fleet,
     )
     index = next(path for path in written if path.name == "index.html")
     print(
-        f"dashboard: wrote {len(written)} file(s) to {out_dir} "
+        f"dashboard: wrote {len(written)} file(s) to {args.out} "
         f"(preset {profile.preset}, store {store.root}, no simulation)"
     )
     print(f"open {index}")
@@ -500,15 +491,14 @@ def _run_dashboard(args, profile: RunProfile, store: RunStore) -> int:
     return 0
 
 
-def _run_ingest(args, sources: "list[str]") -> int:
-    """The ``ingest`` subcommand: merge shard stores into one fleet store.
+def _run_ingest(args) -> int:
+    """The ``ingest`` command: merge shard stores into one fleet store.
 
     Conflict details go to stderr (they are diagnostics, like stale
     warnings); the one-line outcome summary goes to stdout.
     """
-    dest = args.into if args.into is not None else DEFAULT_STORE_ROOT
     report = ingest_stores(
-        sources, dest, strip_seconds=args.strip_seconds
+        args.sources, args.into, strip_seconds=args.strip_seconds
     )
     for conflict in report.pruned:
         print(f"[ingest stale-prune: {conflict.describe()}]", file=sys.stderr)
@@ -523,7 +513,7 @@ def _run_ingest(args, sources: "list[str]") -> int:
 
 
 def _run_trace(args) -> int:
-    """The ``trace`` subcommand: replay a span journal into a report.
+    """The ``trace`` command: replay a span journal into a report.
 
     Renders the newest campaign journal under the telemetry root (or
     the one ``--campaign ID`` names): critical path, per-worker
@@ -537,13 +527,12 @@ def _run_trace(args) -> int:
     )
     from repro.obs.report import load_trace, render_trace
 
-    wanted = args.campaign if args.campaign is not None else "latest"
-    path = resolve_journal(wanted)
+    path = resolve_journal(args.campaign)
     if path is None:
         where = (
             "no campaign journals"
-            if wanted == "latest"
-            else f"no journal {wanted!r}"
+            if args.campaign == "latest"
+            else f"no journal {args.campaign!r}"
         )
         print(
             f"{where} under {telemetry_root()} — run a campaign first "
@@ -557,8 +546,8 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _run_ledger(args, rest: "list[str]") -> int:
-    """The ``ledger`` subcommand: seed / append / check the perf ledger.
+def _run_ledger(args) -> int:
+    """The ``ledger`` command: seed / append / check the perf ledger.
 
     ``seed`` folds every ``BENCH_*.json`` under ``--bench-dir`` into the
     ledger (idempotent); ``append FILE`` records one fresh bench run;
@@ -569,40 +558,24 @@ def _run_ledger(args, rest: "list[str]") -> int:
     from pathlib import Path
 
     from repro.obs.ledger import (
-        DEFAULT_LEDGER,
         append_run,
         check_ledger,
         normalize_bench_file,
         seed_ledger,
     )
 
-    action = rest[0].lower() if rest else ""
-    operands = rest[1:]
-    path = args.ledger if args.ledger is not None else str(DEFAULT_LEDGER)
+    path = args.ledger
     try:
-        if action == "seed":
-            if operands:
-                raise ReproError(
-                    "ledger seed takes no operands; point --bench-dir at "
-                    "the BENCH_*.json directory"
-                )
-            bench_dir = (
-                args.bench_dir if args.bench_dir is not None else "benchmarks"
-            )
-            added, skipped = seed_ledger(bench_dir, path)
+        if args.action == "seed":
+            added, skipped = seed_ledger(args.bench_dir, path)
             print(
                 f"ledger seed: {added} entr{'y' if added == 1 else 'ies'} "
-                f"added to {path} from {bench_dir} "
+                f"added to {path} from {args.bench_dir} "
                 f"({skipped} file(s) skipped: already seeded or empty)"
             )
             return 0
-        if action == "append":
-            if len(operands) != 1:
-                raise ReproError(
-                    "ledger append takes exactly one bench JSON file "
-                    "(usage: ring-repro ledger append FILE [--run-id ID])"
-                )
-            bench_path = Path(operands[0])
+        if args.action == "append":
+            bench_path = Path(args.file)
             records = normalize_bench_file(bench_path)
             if not records:
                 raise ReproError(
@@ -623,25 +596,9 @@ def _run_ledger(args, rest: "list[str]") -> int:
                 f"into {path}"
             )
             return 0
-        if action == "check":
-            if operands:
-                raise ReproError("ledger check takes no operands")
-            check = check_ledger(
-                path,
-                window=args.window if args.window is not None else 8,
-                band_k=args.band_k if args.band_k is not None else 5.0,
-                rel_floor=(
-                    args.rel_floor if args.rel_floor is not None else 0.25
-                ),
-                min_history=(
-                    args.min_history if args.min_history is not None else 3
-                ),
-            )
-            print(check.render())
-            return 0 if check.passed else 1
-        raise ReproError(
-            f"unknown ledger action {action!r}; pick seed, append, or check"
-        )
+        check = check_ledger(path, rel_floor=args.rel_floor)
+        print(check.render())
+        return 0 if check.passed else 1
     except ReproError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -669,427 +626,9 @@ def _shard_summary(campaign: CampaignExecution, store: RunStore) -> str:
     )
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the requested experiments; return a process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="ring-repro",
-        description=(
-            "Reproduce Mansour & Zaks (PODC 1986): bit complexity of "
-            "distributed computations in a ring with a leader."
-        ),
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="+",
-        help="experiment ids (E1..E12) or 'all'; prefix with 'report' to "
-        "re-render tables from stored cell records without simulating, "
-        "use 'dashboard' to render the static HTML+JSON/CSV site from "
-        "the store, 'ingest SRC...' to merge shard stores into one "
-        "fleet store, 'trace' to replay a campaign's span journal into "
-        "a critical-path report, or 'ledger seed|append|check' to "
-        "maintain the perf-regression ledger",
-    )
-    parser.add_argument(
-        "--shard",
-        metavar="I/N",
-        default=None,
-        help="run fleet leg I of N: measure only this shard of the "
-        "campaign's cell list (a stable hash of cell identity partitions "
-        "the fleet deterministically) into its own store, for a later "
-        "'ingest' merge; 1-based, so shards are 1/N .. N/N",
-    )
-    parser.add_argument(
-        "--shard-strategy",
-        choices=["hash", "weight"],
-        default="hash",
-        help="with --shard: how the fleet partition assigns cells — "
-        "hash (default: stable identity hash, each cell's shard is "
-        "independent of the rest of the campaign) or weight "
-        "(deterministic LPT over planned cell weights, balancing "
-        "heavy-tailed campaigns; every leg must request the same "
-        "experiments, preset, and mode)",
-    )
-    parser.add_argument(
-        "--into",
-        metavar="DIR",
-        default=None,
-        help="with ingest: destination fleet store directory "
-        f"(default: {DEFAULT_STORE_ROOT}/)",
-    )
-    parser.add_argument(
-        "--strip-seconds",
-        action="store_true",
-        help="with ingest: zero each merged record's wall clock so two "
-        "stores of the same campaign (e.g. a merged fleet and an "
-        "unsharded baseline) become byte-identical",
-    )
-    parser.add_argument(
-        "--fleet",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with dashboard: annotate each cell's provenance with the "
-        "shard (i/N) that owns it in an N-machine fleet (default: 1, a "
-        "single-machine fleet)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="use reduced sweeps (alias for --preset quick)",
-    )
-    parser.add_argument(
-        "--preset",
-        choices=["quick", "full", "long"],
-        help="sweep preset: quick (test sizes), full (default), "
-        "long (n >= 10^4 metrics-mode sweeps for E1, E7-E11)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=["sim", "model", "verify"],
-        default="sim",
-        help="how cells with an analytic model obtain records: sim "
-        "(simulate everything; default), model (closed-form bit "
-        "accounting only — long sweeps extend past the simulable "
-        "ceiling), verify (run both at simulable sizes and record a "
-        "bit-for-bit calibration verdict); experiments without a model "
-        "simulate regardless",
-    )
-    parser.add_argument(
-        "--sizes",
-        metavar="N,N,...",
-        help="override every size sweep's ring sizes (comma-separated; "
-        "growth fits need >= 3 sizes, and size-constrained experiments "
-        "such as E8 — multiples of 3 — fail on incompatible values)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="measure cells on N worker processes shared by the whole "
-        "campaign (default 1: in-process); tables are byte-identical "
-        "to --jobs 1",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse stored cell records whose config hash still matches; "
-        "only the missing cells are measured",
-    )
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=DEFAULT_STORE_ROOT,
-        help=f"run-store directory for cell records (default: {DEFAULT_STORE_ROOT}/)",
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="do not persist cell records (disables --resume and report)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-experiment cell time (heaviest first) plus the "
-        "campaign's shared-pool utilization line",
-    )
-    parser.add_argument(
-        "--all",
-        action="store_true",
-        help="with report: render every experiment and append an "
-        "aggregated campaign summary table",
-    )
-    parser.add_argument(
-        "--refit",
-        action="store_true",
-        help="with report: regenerate growth-law fits from the stored "
-        "records (no simulation) and print them per curve",
-    )
-    parser.add_argument(
-        "--prune-stale",
-        action="store_true",
-        help="with report: delete stale store files (ones no current "
-        "cell loads) after listing them and print the bytes reclaimed",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with report --prune-stale: list stale files and the bytes "
-        "they hold, delete nothing",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help="with dashboard: output directory for the rendered site "
-        "(default: dashboard/)",
-    )
-    parser.add_argument(
-        "--open",
-        action="store_true",
-        help="with dashboard: open the rendered index.html in a browser",
-    )
-    parser.add_argument(
-        "--bench-dir",
-        metavar="DIR",
-        default=None,
-        help="with dashboard or ledger seed: directory scanned for "
-        "BENCH_*.json records (default: benchmarks/)",
-    )
-    parser.add_argument(
-        "--campaign",
-        metavar="ID",
-        default=None,
-        help="with trace: which journal to replay — a campaign id (or "
-        ".jsonl filename) under the telemetry root, or 'latest' "
-        "(default)",
-    )
-    parser.add_argument(
-        "--ledger",
-        metavar="PATH",
-        default=None,
-        help="with ledger: the ledger file "
-        "(default: benchmarks/LEDGER.jsonl)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with ledger check: trailing history window per metric "
-        "(default: 8 prior runs)",
-    )
-    parser.add_argument(
-        "--band-k",
-        type=float,
-        default=None,
-        metavar="K",
-        help="with ledger check: band halfwidth in MADs around the "
-        "trailing median (default: 5.0)",
-    )
-    parser.add_argument(
-        "--rel-floor",
-        type=float,
-        default=None,
-        metavar="F",
-        help="with ledger check: minimum band halfwidth as a fraction "
-        "of the median, keeping deterministic metrics (MAD 0) from "
-        "failing every change (default: 0.25)",
-    )
-    parser.add_argument(
-        "--min-history",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with ledger check: metrics with fewer prior points are "
-        "reported as new and pass (default: 3)",
-    )
-    parser.add_argument(
-        "--run-id",
-        metavar="ID",
-        default=None,
-        help="with ledger append: the run id to record under "
-        "(default: the bench file's name)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        profile = build_profile(
-            args.preset, args.sizes, args.quick, args.mode
-        )
-        if args.jobs < 1:
-            raise ReproError(
-                f"--jobs needs a positive worker count, got {args.jobs}"
-            )
-        if args.fleet is not None and args.fleet < 1:
-            raise ReproError(
-                f"--fleet needs a positive fleet size, got {args.fleet}"
-            )
-    except ReproError as error:
-        parser.error(str(error))
-
-    requested = list(args.experiments)
-    command = requested[0].lower() if requested else ""
-    report_mode = command == "report"
-    dashboard_mode = command == "dashboard"
-    ingest_mode = command == "ingest"
-    trace_mode = command == "trace"
-    ledger_mode = command == "ledger"
-    if args.dry_run and not args.prune_stale:
-        parser.error("--dry-run only applies to report --prune-stale")
-    if not dashboard_mode:
-        for flag, name in (
-            (args.open, "--open"),
-            (args.out is not None, "--out"),
-            (args.fleet is not None, "--fleet"),
-        ):
-            if flag:
-                parser.error(f"{name} only applies to dashboard mode")
-    if args.bench_dir is not None and not (dashboard_mode or ledger_mode):
-        parser.error("--bench-dir only applies to dashboard and ledger modes")
-    if args.campaign is not None and not trace_mode:
-        parser.error("--campaign only applies to trace mode")
-    if not ledger_mode:
-        for flag, name in (
-            (args.ledger is not None, "--ledger"),
-            (args.window is not None, "--window"),
-            (args.band_k is not None, "--band-k"),
-            (args.rel_floor is not None, "--rel-floor"),
-            (args.min_history is not None, "--min-history"),
-            (args.run_id is not None, "--run-id"),
-        ):
-            if flag:
-                parser.error(f"{name} only applies to ledger mode")
-    if trace_mode or ledger_mode:
-        for flag, name in (
-            (args.no_store, "--no-store"),
-            (args.resume, "--resume"),
-            (args.profile, "--profile"),
-            (args.all, "--all"),
-            (args.refit, "--refit"),
-            (args.prune_stale, "--prune-stale"),
-            (args.quick, "--quick"),
-            (args.preset is not None, "--preset"),
-            (args.sizes is not None, "--sizes"),
-            (args.mode != "sim", "--mode"),
-            (args.jobs != 1, "--jobs"),
-            (args.store != DEFAULT_STORE_ROOT, "--store"),
-        ):
-            if flag:
-                parser.error(f"{name} does not apply to {command} mode")
-    if not ingest_mode:
-        for flag, name in (
-            (args.into is not None, "--into"),
-            (args.strip_seconds, "--strip-seconds"),
-        ):
-            if flag:
-                parser.error(f"{name} only applies to ingest mode")
-    shard = None
-    if args.shard is not None:
-        if (
-            report_mode
-            or dashboard_mode
-            or ingest_mode
-            or trace_mode
-            or ledger_mode
-        ):
-            parser.error(
-                f"--shard only applies when running experiments; a "
-                f"{command} reads stores, it does not measure"
-            )
-        if args.no_store:
-            parser.error(
-                "--shard fills a run store for a later ingest merge; "
-                "drop --no-store"
-            )
-        try:
-            shard = parse_shard(args.shard)
-        except ReproError as error:
-            parser.error(str(error))
-    elif args.shard_strategy != "hash":
-        parser.error(
-            "--shard-strategy only applies with --shard i/N; an unsharded "
-            "run measures every cell regardless of the partition"
-        )
-    if ingest_mode:
-        sources = requested[1:]
-        if not sources:
-            parser.error(
-                "ingest needs at least one source store directory "
-                "(usage: ring-repro ingest SRC... [--into DIR])"
-            )
-        for flag, name in (
-            (args.no_store, "--no-store"),
-            (args.resume, "--resume"),
-            (args.profile, "--profile"),
-            (args.all, "--all"),
-            (args.refit, "--refit"),
-            (args.prune_stale, "--prune-stale"),
-            (args.quick, "--quick"),
-            (args.preset is not None, "--preset"),
-            (args.sizes is not None, "--sizes"),
-            (args.mode != "sim", "--mode"),
-            (args.jobs != 1, "--jobs"),
-            (args.store != DEFAULT_STORE_ROOT, "--store"),
-        ):
-            if flag:
-                hint = (
-                    " (ingest writes to --into DIR)"
-                    if name == "--store"
-                    else ""
-                )
-                parser.error(f"{name} does not apply to ingest mode{hint}")
-        return _run_ingest(args, sources)
-    if trace_mode:
-        if requested[1:]:
-            parser.error(
-                "trace takes no experiment ids; pick a journal with "
-                "--campaign ID (usage: ring-repro trace [--campaign ID])"
-            )
-        return _run_trace(args)
-    if ledger_mode:
-        if not requested[1:]:
-            parser.error(
-                "ledger needs an action: seed, append FILE, or check"
-            )
-        return _run_ledger(args, requested[1:])
-    if report_mode:
-        requested = requested[1:]
-        if not requested and not args.all:
-            parser.error(
-                "report needs experiment ids (E1..E12), 'all', or --all"
-            )
-        if args.no_store:
-            parser.error("report renders from the store; drop --no-store")
-    elif dashboard_mode:
-        requested = requested[1:]
-        if requested:
-            parser.error(
-                "dashboard renders every experiment; drop the ids "
-                "(usage: ring-repro dashboard [--out DIR] [--open])"
-            )
-        if args.no_store:
-            parser.error("dashboard renders from the store; drop --no-store")
-        for flag, name in (
-            (args.all, "--all"),
-            (args.refit, "--refit"),
-            (args.prune_stale, "--prune-stale"),
-            (args.resume, "--resume"),
-            (args.profile, "--profile"),
-        ):
-            if flag:
-                parser.error(f"{name} does not apply to dashboard mode")
-    else:
-        for flag, name in (
-            (args.all, "--all"),
-            (args.refit, "--refit"),
-            (args.prune_stale, "--prune-stale"),
-        ):
-            if flag:
-                parser.error(f"{name} only applies to report mode")
-    if any(
-        item.lower() in ("report", "dashboard", "ingest", "trace", "ledger")
-        for item in requested
-    ):
-        parser.error(
-            "'report'/'dashboard'/'ingest'/'trace'/'ledger' go first: "
-            "ring-repro report E8 [...]"
-        )
-    if args.resume and args.no_store:
-        parser.error("--resume reads and refills the store; drop --no-store")
-
-    store = None if args.no_store else RunStore(args.store)
-    if dashboard_mode:
-        return _run_dashboard(args, profile, store)
-    if args.all or any(item.lower() == "all" for item in requested):
-        exp_ids = list(ALL_EXPERIMENTS)
-    else:
-        # A campaign plans each experiment exactly once; repeating an id
-        # on the command line would only repeat the identical table.
-        exp_ids = list(dict.fromkeys(item.upper() for item in requested))
-
-    if report_mode:
-        return _run_report(args, profile, store, exp_ids)
-
+def _run_campaign(args, profile: RunProfile) -> int:
+    """An experiment run: one campaign over every requested experiment."""
+    exp_ids = _expand_ids(args.experiments)
     if profile.sizes is not None:
         for exp_id in exp_ids:
             if exp_id in FIXED_SWEEP_EXPERIMENTS:
@@ -1118,17 +657,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     # A sharded leg renders at the end (finalized experiments only, in
     # request order): most experiments stay partial, so the streaming
     # request-order gate would never open past the first partial one.
+    store = None if args.no_store else RunStore(args.store)
     campaign = execute_campaign(
         specs,
         profile,
         jobs=args.jobs,
         store=store,
         resume=args.resume,
-        on_result=None if shard is not None else on_result,
-        shard=shard,
+        on_result=None if args.shard is not None else on_result,
+        shard=args.shard,
         shard_strategy=args.shard_strategy,
     )
-    if shard is None:
+    if args.shard is None:
         assert next_to_print == len(order), (
             "campaign finalized every experiment"
         )
@@ -1145,17 +685,264 @@ def main(argv: Sequence[str] | None = None) -> int:
         for execution in campaign.executions.values()
         if not execution.result.passed
     )
-    if shard is not None:
+    if args.shard is not None:
         print(_shard_summary(campaign, store))
-        if failures:
-            print(f"{failures} experiment(s) FAILED", file=sys.stderr)
-            return 1
-        return 0
     if failures:
         print(f"{failures} experiment(s) FAILED", file=sys.stderr)
         return 1
-    print(f"all {len(exp_ids)} experiment(s) passed")
+    if args.shard is None:
+        print(f"all {len(exp_ids)} experiment(s) passed")
     return 0
+
+
+def _expand_ids(items: "Sequence[str]") -> "list[str]":
+    """Experiment ids from the command line: 'all' expands, repeats fold."""
+    if any(item.lower() == "all" for item in items):
+        return list(ALL_EXPERIMENTS)
+    # A campaign plans each experiment exactly once; repeating an id on
+    # the command line would only repeat the identical table.
+    return list(dict.fromkeys(item.upper() for item in items))
+
+
+def _positive(what: str):
+    """An argparse ``type``: a positive integer, called ``what`` in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"needs a positive {what}, got {text}"
+            )
+        return value
+
+    return parse
+
+
+def _shard(text: str) -> "tuple[int, int]":
+    """The argparse ``type`` of ``--shard I/N``."""
+    try:
+        return parse_shard(text)
+    except ReproError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+COMMANDS = ("report", "dashboard", "ingest", "trace", "ledger")
+
+_DESCRIPTIONS = {
+    "run": "Reproduce Mansour & Zaks (PODC 1986): bit complexity of "
+    "distributed computations in a ring with a leader.  Runs the given "
+    "experiments as one campaign.  Other commands: report, dashboard, "
+    "ingest, trace, ledger — see 'ring-repro <command> --help'.",
+    "report": "Re-render experiment tables from stored cell records; "
+    "runs no simulation.",
+    "dashboard": "Render the run store as a static HTML+JSON/CSV site; "
+    "runs no simulation.",
+    "ingest": "Merge shard stores into one fleet store.",
+    "trace": "Replay a campaign's span journal into a critical-path report.",
+    "ledger": "Maintain the perf-regression ledger.",
+}
+
+
+def command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command: ``run`` is an experiment run.
+
+    Each parser declares only the flags its command reads, so argparse
+    itself rejects a flag given to the wrong command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ring-repro" if command == "run" else f"ring-repro {command}",
+        description=_DESCRIPTIONS[command],
+    )
+    add = parser.add_argument
+    if command == "run":
+        add("experiments", nargs="+", metavar="ID",
+            help="experiment ids (E1..E12, case-insensitive) or 'all'")
+    elif command == "report":
+        add("experiments", nargs="*", metavar="ID",
+            help="experiment ids (E1..E12) or 'all'")
+    elif command == "ingest":
+        add("sources", nargs="+", metavar="SRC",
+            help="shard store directories to merge")
+        add("--into", metavar="DIR", default=DEFAULT_STORE_ROOT,
+            help=f"destination fleet store (default: {DEFAULT_STORE_ROOT}/)")
+        add("--strip-seconds", action="store_true",
+            help="zero each merged record's wall clock so two stores of "
+            "the same campaign (e.g. a merged fleet and an unsharded "
+            "baseline) become byte-identical")
+        return parser
+    elif command == "trace":
+        add("--campaign", metavar="ID", default="latest",
+            help="which journal to replay — a campaign id (or .jsonl "
+            "filename) under the telemetry root, or 'latest' (default)")
+        return parser
+    elif command == "ledger":
+        _ledger_actions(parser)
+        return parser
+
+    add("--quick", action="store_true",
+        help="use reduced sweeps (alias for --preset quick)")
+    add("--preset", choices=["quick", "full", "long"],
+        help="sweep preset: quick (test sizes), full (default), "
+        "long (n >= 10^4 metrics-mode sweeps for E1, E7-E11)")
+    add("--mode", choices=["sim", "model", "verify"], default="sim",
+        help="how cells with an analytic model obtain records: sim "
+        "(simulate everything; default), model (closed-form bit "
+        "accounting only — long sweeps extend past the simulable "
+        "ceiling), verify (run both at simulable sizes and record a "
+        "bit-for-bit calibration verdict); experiments without a model "
+        "simulate regardless")
+    add("--sizes", metavar="N,N,...",
+        help="override every size sweep's ring sizes (comma-separated; "
+        "growth fits need >= 3 sizes, and size-constrained experiments "
+        "such as E8 — multiples of 3 — fail on incompatible values)")
+    add("--store", metavar="DIR", default=DEFAULT_STORE_ROOT,
+        help=f"run-store directory for cell records "
+        f"(default: {DEFAULT_STORE_ROOT}/)")
+    if command in ("run", "report"):
+        add("--profile", action="store_true",
+            help="print per-experiment cell time (heaviest first); a run "
+            "adds the campaign's shared-pool utilization line")
+    if command == "run":
+        add("--jobs", type=_positive("worker count"), default=1,
+            metavar="N",
+            help="measure cells on N worker processes shared by the whole "
+            "campaign (default 1: in-process); tables are byte-identical "
+            "to --jobs 1")
+        persist = parser.add_mutually_exclusive_group()
+        persist.add_argument("--resume", action="store_true",
+            help="reuse stored cell records whose config hash still "
+            "matches; only the missing cells are measured")
+        persist.add_argument("--no-store", action="store_true",
+            help="do not persist cell records")
+        add("--shard", metavar="I/N", type=_shard,
+            help="run fleet leg I of N: measure only this shard of the "
+            "campaign's cell list into its own store, for a later "
+            "'ingest' merge; 1-based, so shards are 1/N .. N/N")
+        add("--shard-strategy", choices=["hash", "weight"], default="hash",
+            help="with --shard: how the fleet partition assigns cells — "
+            "hash (default: stable identity hash) or weight "
+            "(deterministic LPT over planned cell weights; every leg "
+            "must request the same experiments, preset, and mode)")
+    elif command == "report":
+        add("--all", action="store_true",
+            help="render every experiment and append an aggregated "
+            "campaign summary table")
+        add("--refit", action="store_true",
+            help="regenerate growth-law fits from the stored records "
+            "and print them per curve")
+        add("--prune-stale", action="store_true",
+            help="delete stale store files (ones no current cell loads) "
+            "after listing them and print the bytes reclaimed")
+        add("--dry-run", action="store_true",
+            help="with --prune-stale: list stale files and the bytes "
+            "they hold, delete nothing")
+    else:
+        add("--jobs", type=_positive("worker count"), default=1,
+            metavar="N", help="the timeline's replayed worker count")
+        add("--out", metavar="DIR", default="dashboard",
+            help="output directory for the rendered site "
+            "(default: dashboard/)")
+        add("--open", action="store_true",
+            help="open the rendered index.html in a browser")
+        add("--bench-dir", metavar="DIR", default="benchmarks",
+            help="directory scanned for BENCH_*.json records "
+            "(default: benchmarks/)")
+        add("--fleet", type=_positive("fleet size"), default=1,
+            metavar="N",
+            help="annotate each cell's provenance with the shard (i/N) "
+            "that owns it in an N-machine fleet (default: 1)")
+    return parser
+
+
+def _ledger_actions(parser: argparse.ArgumentParser) -> None:
+    """``ledger seed | append FILE | check`` as sub-parsers."""
+    from repro.obs.ledger import DEFAULT_LEDGER, DEFAULT_REL_FLOOR
+
+    actions = parser.add_subparsers(dest="action", required=True)
+    seed = actions.add_parser(
+        "seed", help="fold every BENCH_*.json into the ledger (idempotent)"
+    )
+    seed.add_argument("--bench-dir", metavar="DIR", default="benchmarks",
+        help="directory scanned for BENCH_*.json records "
+        "(default: benchmarks/)")
+    append = actions.add_parser("append", help="record one bench run")
+    append.add_argument("file", metavar="FILE", help="the bench JSON file")
+    append.add_argument("--run-id", metavar="ID",
+        help="the run id to record under (default: the file's name)")
+    check = actions.add_parser(
+        "check", help="gate: the newest run against its drift bands"
+    )
+    check.add_argument("--rel-floor", type=float, default=DEFAULT_REL_FLOOR,
+        metavar="F",
+        help="minimum band halfwidth as a fraction of the median, keeping "
+        "deterministic metrics (MAD 0) from failing every change "
+        f"(default: {DEFAULT_REL_FLOOR})")
+    for action in (seed, append, check):
+        action.add_argument("--ledger", metavar="PATH",
+            default=str(DEFAULT_LEDGER),
+            help=f"the ledger file (default: {DEFAULT_LEDGER})")
+
+
+def parse_command(argv: "Sequence[str]") -> "tuple[str, argparse.Namespace]":
+    """Pick the command by the first token and parse the rest.
+
+    Any first token other than a command name is an experiment run
+    (command ``run``).  The checks argparse cannot express are made
+    here too, so a parsed command is a valid one; commands that sweep
+    carry their :class:`RunProfile` as ``run_profile``.
+    """
+    argv = list(argv)
+    command = argv[0].lower() if argv else "run"
+    if command in COMMANDS:
+        argv = argv[1:]
+    else:
+        command = "run"
+    parser = command_parser(command)
+    args = parser.parse_args(argv)
+    if command == "report":
+        if args.dry_run and not args.prune_stale:
+            parser.error("--dry-run only applies with --prune-stale")
+        if not args.experiments and not args.all:
+            parser.error("report needs experiment ids (E1..E12), 'all', or --all")
+    if command == "run":
+        if args.shard is None and args.shard_strategy != "hash":
+            parser.error("--shard-strategy only applies with --shard i/N")
+        if args.shard is not None and args.no_store:
+            parser.error(
+                "--shard fills a run store for a later ingest merge; "
+                "drop --no-store"
+            )
+    if command in ("run", "report", "dashboard"):
+        try:
+            args.run_profile = build_profile(
+                args.preset, args.sizes, args.quick, args.mode
+            )
+        except ReproError as error:
+            parser.error(str(error))
+    return command, args
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run the requested command; return a process exit code."""
+    command, args = parse_command(sys.argv[1:] if argv is None else argv)
+    if command == "ingest":
+        return _run_ingest(args)
+    if command == "trace":
+        return _run_trace(args)
+    if command == "ledger":
+        return _run_ledger(args)
+    profile = args.run_profile
+    if command == "dashboard":
+        return _run_dashboard(args, profile, RunStore(args.store))
+    if command == "report":
+        exp_ids = (
+            list(ALL_EXPERIMENTS) if args.all else _expand_ids(args.experiments)
+        )
+        return _run_report(args, profile, RunStore(args.store), exp_ids)
+    return _run_campaign(args, profile)
 
 
 if __name__ == "__main__":

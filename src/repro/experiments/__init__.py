@@ -20,8 +20,8 @@ E11   §7(5) — two passes at ``(2k+1)n`` vs one pass at ``(k+2^k-1)n``
 E12   Summary — the TM->ring bridge: ``BIT <= t(n) log |Q|``
 ====  =======================================================================
 
-Use :func:`get_experiment` / :data:`ALL_EXPERIMENTS` or the CLI
-(``python -m repro.cli``).
+Use :func:`get_spec` (``get_spec("E7").run(profile)``) /
+:data:`ALL_EXPERIMENTS` or the CLI (``python -m repro.cli``).
 """
 
 from repro.experiments.base import (
@@ -37,9 +37,7 @@ from repro.experiments.registry import (
     ALL_SPECS,
     FIXED_SWEEP_EXPERIMENTS,
     LONG_PRESET_EXPERIMENTS,
-    get_experiment,
     get_spec,
-    run_all,
 )
 
 __all__ = [
@@ -53,7 +51,5 @@ __all__ = [
     "ALL_SPECS",
     "FIXED_SWEEP_EXPERIMENTS",
     "LONG_PRESET_EXPERIMENTS",
-    "get_experiment",
     "get_spec",
-    "run_all",
 ]

@@ -163,8 +163,3 @@ def finalize(profile: RunProfile, records: dict) -> ExperimentResult:
 SPEC = ExperimentSpec(
     exp_id="E3", plan=plan, finalize=finalize, title=TITLE
 )
-
-
-def run(profile: bool | RunProfile = False) -> ExperimentResult:
-    """Execute E3 serially; see module docstring."""
-    return SPEC.run(profile)

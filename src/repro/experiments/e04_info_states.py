@@ -201,8 +201,3 @@ def finalize(profile: RunProfile, records: dict) -> ExperimentResult:
 SPEC = ExperimentSpec(
     exp_id="E4", plan=plan, finalize=finalize, title=TITLE
 )
-
-
-def run(profile: bool | RunProfile = False) -> ExperimentResult:
-    """Execute E4 serially; see module docstring."""
-    return SPEC.run(profile)

@@ -223,8 +223,3 @@ def finalize(profile: RunProfile, records: dict) -> ExperimentResult:
 SPEC = ExperimentSpec(
     exp_id="E5", plan=plan, finalize=finalize, title=TITLE
 )
-
-
-def run(profile: bool | RunProfile = False) -> ExperimentResult:
-    """Execute E5 serially; see module docstring."""
-    return SPEC.run(profile)

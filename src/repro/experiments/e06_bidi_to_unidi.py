@@ -160,8 +160,3 @@ def finalize(profile: RunProfile, records: dict) -> ExperimentResult:
 SPEC = ExperimentSpec(
     exp_id="E6", plan=plan, finalize=finalize, title=TITLE
 )
-
-
-def run(profile: bool | RunProfile = False) -> ExperimentResult:
-    """Execute E6 serially; see module docstring."""
-    return SPEC.run(profile)

@@ -158,8 +158,3 @@ def finalize(profile: RunProfile, records: dict) -> ExperimentResult:
 SPEC = ExperimentSpec(
     exp_id="E7", plan=plan, finalize=finalize, curves=curves, title=TITLE
 )
-
-
-def run(profile: bool | RunProfile = False) -> ExperimentResult:
-    """Execute E7 serially; see module docstring."""
-    return SPEC.run(profile)

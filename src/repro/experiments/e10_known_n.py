@@ -559,8 +559,3 @@ def finalize(profile: RunProfile, records: dict) -> ExperimentResult:
 SPEC = ExperimentSpec(
     exp_id="E10", plan=plan, finalize=finalize, curves=curves, title=TITLE
 )
-
-
-def run(profile: bool | RunProfile = False) -> ExperimentResult:
-    """Execute E10 serially; see module docstring."""
-    return SPEC.run(profile)

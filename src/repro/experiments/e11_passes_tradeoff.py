@@ -139,8 +139,3 @@ def finalize(profile: RunProfile, records: dict) -> ExperimentResult:
 SPEC = ExperimentSpec(
     exp_id="E11", plan=plan, finalize=finalize, title=TITLE
 )
-
-
-def run(profile: bool | RunProfile = False) -> ExperimentResult:
-    """Execute E11 serially; see module docstring."""
-    return SPEC.run(profile)

@@ -1,28 +1,24 @@
-"""Experiment registry: id -> runner and id -> cell-plan spec.
+"""Experiment registry: id -> cell-plan spec.
 
 The CLI, the benchmarks, and the integration tests all resolve experiments
 through this table, so there is exactly one definition of each sweep.
+Each :class:`~repro.experiments.base.ExperimentSpec` is the one entry
+point: ``get_spec(id).run(profile)`` measures serially in-process, and
+the parallel executor and the run store (``repro.runner``) consume its
+cells.  :data:`ALL_EXPERIMENTS` is the ordered tuple of ids.
 
-Runners take one *profile* argument — a legacy bool (True = quick) or a
+A profile is a legacy bool (True = quick) or a
 :class:`~repro.experiments.base.RunProfile` carrying a preset
 (quick/full/long) or an explicit ring-size override.
 :data:`LONG_PRESET_EXPERIMENTS` names the counter-only experiments whose
 sweeps define a dedicated ``long`` variant (n >= 10^4, metrics mode); for
 the others the long preset falls back to their full sweep.
-
-:data:`ALL_SPECS` exposes the same experiments in declarative cell form
-(:class:`~repro.experiments.base.ExperimentSpec`): ``run(profile)`` is
-always ``SPEC.run(profile)``, so the registry's two views cannot drift.
-The cell form is what the parallel executor and the run store consume
-(``repro.runner``).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import ReproError
-from repro.experiments.base import ExperimentResult, ExperimentSpec, RunProfile
+from repro.experiments.base import ExperimentSpec
 from repro.experiments import (
     e01_regular_linear,
     e02_message_graph,
@@ -37,23 +33,6 @@ from repro.experiments import (
     e11_passes_tradeoff,
     e12_tm_bridge,
 )
-
-Runner = Callable[["bool | RunProfile"], ExperimentResult]
-
-ALL_EXPERIMENTS: dict[str, Runner] = {
-    "E1": e01_regular_linear.run,
-    "E2": e02_message_graph.run,
-    "E3": e03_multipass_compile.run,
-    "E4": e04_info_states.run,
-    "E5": e05_token_line.run,
-    "E6": e06_bidi_to_unidi.run,
-    "E7": e07_wcw_quadratic.run,
-    "E8": e08_counters_nlogn.run,
-    "E9": e09_hierarchy.run,
-    "E10": e10_known_n.run,
-    "E11": e11_passes_tradeoff.run,
-    "E12": e12_tm_bridge.run,
-}
 
 ALL_SPECS: dict[str, ExperimentSpec] = {
     "E1": e01_regular_linear.SPEC,
@@ -70,6 +49,7 @@ ALL_SPECS: dict[str, ExperimentSpec] = {
     "E12": e12_tm_bridge.SPEC,
 }
 
+ALL_EXPERIMENTS: tuple[str, ...] = tuple(ALL_SPECS)
 
 # Counter-only experiments: their sweeps run trace="metrics" end to end,
 # so a dedicated `long` sweep (n >= 10^4) stays O(n)-memory and CI-cheap.
@@ -79,17 +59,6 @@ LONG_PRESET_EXPERIMENTS: tuple[str, ...] = ("E1", "E7", "E8", "E9", "E10", "E11"
 # catalogs / compiler horizons): a --sizes override cannot apply to them,
 # and the CLI says so instead of silently running the defaults.
 FIXED_SWEEP_EXPERIMENTS: tuple[str, ...] = ("E2", "E3", "E6")
-
-
-def get_experiment(exp_id: str) -> Runner:
-    """Resolve an experiment id (case-insensitive, 'e7'/'E7' both work)."""
-    key = exp_id.upper()
-    if key not in ALL_EXPERIMENTS:
-        raise ReproError(
-            f"unknown experiment {exp_id!r}; choose from "
-            f"{', '.join(ALL_EXPERIMENTS)}"
-        )
-    return ALL_EXPERIMENTS[key]
 
 
 def get_spec(exp_id: str) -> ExperimentSpec:
@@ -102,7 +71,3 @@ def get_spec(exp_id: str) -> ExperimentSpec:
         )
     return ALL_SPECS[key]
 
-
-def run_all(profile: bool | RunProfile = False) -> list[ExperimentResult]:
-    """Run every experiment in order under one profile."""
-    return [runner(profile) for runner in ALL_EXPERIMENTS.values()]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,23 @@ from repro.automata.dfa import DFA
 def rng() -> random.Random:
     """A deterministic RNG; tests must not depend on global random state."""
     return random.Random(0xBEEF)
+
+
+REPO_RUNS = Path(__file__).resolve().parent.parent / "runs"
+
+
+def _runs_listing() -> "list[str]":
+    """Every path under the repo's ``runs/`` (empty when it is absent)."""
+    return sorted(str(path.relative_to(REPO_RUNS)) for path in REPO_RUNS.rglob("*"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _repo_runs_untouched():
+    """Fail the session if any test wrote into the repo's ``runs/``."""
+    before = _runs_listing()
+    yield
+    changed = sorted(set(_runs_listing()) ^ set(before))
+    assert not changed, f"the suite changed {REPO_RUNS}: {changed[:5]}"
 
 
 @pytest.fixture(autouse=True)
@@ -55,3 +73,13 @@ def all_words(alphabet: str, max_length: int):
         yield word
         if len(word) < max_length:
             frontier.extend(word + symbol for symbol in alphabet)
+
+
+def assert_rejected(capsys, argv: "list[str]", needle: str) -> None:
+    """``main(argv)`` is a usage error (exit 2) whose stderr names ``needle``."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert needle in capsys.readouterr().err

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from conftest import assert_rejected
 from repro.analysis.growth import classify_growth, refit_from_store
 from repro.cli import main
 from repro.errors import ReproError
@@ -356,10 +357,7 @@ class TestCampaignCLI:
 
     def test_cli_report_flags_rejected_outside_report(self, capsys):
         for flag in ("--all", "--refit", "--prune-stale"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["E8", "--quick", flag])
-            assert excinfo.value.code == 2
-            assert "report mode" in capsys.readouterr().err
+            assert_rejected(capsys, ["E8", "--quick", flag], flag)
 
     def test_cli_report_all_without_ids(self, capsys, tmp_path):
         """`report --all` needs no positional ids beyond 'report'."""

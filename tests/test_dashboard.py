@@ -20,6 +20,7 @@ from xml.etree import ElementTree
 
 import pytest
 
+from conftest import assert_rejected
 from repro.analysis.growth import classify_growth, refit_from_store
 from repro.analysis.tables import format_table, render_rows, rows_to_csv
 from repro.cli import main
@@ -244,19 +245,18 @@ class TestDashboardExports:
 
 class TestDashboardCLI:
     def test_dashboard_rejects_ids_and_report_flags(self, capsys):
-        for argv in (
-            ["dashboard", "E8"],
-            ["dashboard", "--refit"],
-            ["dashboard", "--prune-stale"],
-            ["dashboard", "--resume"],
-            ["dashboard", "--no-store"],
-            ["dashboard", "--profile"],
-            ["E8", "--open", "--no-store"],
-            ["E8", "--out", "site", "--no-store"],
-            ["report", "E8", "--bench-dir", "benchmarks"],
+        for argv, flag in (
+            (["dashboard", "E8"], "E8"),
+            (["dashboard", "--refit"], "--refit"),
+            (["dashboard", "--prune-stale"], "--prune-stale"),
+            (["dashboard", "--resume"], "--resume"),
+            (["dashboard", "--no-store"], "--no-store"),
+            (["dashboard", "--profile"], "--profile"),
+            (["E8", "--open", "--no-store"], "--open"),
+            (["E8", "--out", "site", "--no-store"], "--out"),
+            (["report", "E8", "--bench-dir", "benchmarks"], "--bench-dir"),
         ):
-            with pytest.raises(SystemExit):
-                main(argv)
+            assert_rejected(capsys, argv, flag)
 
     def test_dashboard_honors_preset_and_prints_summary(
         self, tmp_path, capsys
@@ -338,22 +338,14 @@ class TestFleetProvenance:
         assert "<th>shard</th>" in html
 
     def test_fleet_flag_validation(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["E8", "--quick", "--fleet", "3", "--no-store"])
-        assert excinfo.value.code == 2
-        assert "--fleet" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "dashboard",
-                    "--fleet",
-                    "0",
-                    "--store",
-                    str(tmp_path / "runs"),
-                ]
-            )
-        assert excinfo.value.code == 2
-        assert "positive fleet size" in capsys.readouterr().err
+        assert_rejected(
+            capsys, ["E8", "--quick", "--fleet", "3", "--no-store"], "--fleet"
+        )
+        assert_rejected(
+            capsys,
+            ["dashboard", "--fleet", "0", "--store", str(tmp_path / "runs")],
+            "positive fleet size",
+        )
 
 
 class TestSpecTitles:

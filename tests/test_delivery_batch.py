@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.bits import Bits
 from repro.errors import ProtocolError
-from repro.experiments import get_experiment
+from repro.experiments import get_spec
 from repro.ring.bidirectional import BidirectionalRing, run_bidirectional
 from repro.ring.delivery import LinkQueues, round_batching_enabled
 from repro.ring.line import LineNetwork
@@ -218,9 +218,9 @@ class TestOracleEquivalence:
         quick cells stream metrics — the same lever the CI
         ``delivery-parity`` job pulls on whole quick campaigns.
         """
-        batched = get_experiment("E6")(True).render()
+        batched = get_spec("E6").run(True).render()
         monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "1")
-        heap = get_experiment("E6")(True).render()
+        heap = get_spec("E6").run(True).render()
         assert batched == heap
 
 

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import assert_rejected
 from repro.cli import build_profile, main, parse_sizes
 from repro.errors import ReproError
 from repro.experiments import (
     ALL_EXPERIMENTS,
+    ALL_SPECS,
     LONG_PRESET_EXPERIMENTS,
-    get_experiment,
+    get_spec,
 )
 from repro.experiments.base import (
     ExperimentResult,
@@ -25,20 +27,21 @@ from repro.experiments.base import (
 
 class TestRegistry:
     def test_all_twelve_registered(self):
-        assert list(ALL_EXPERIMENTS) == [f"E{i}" for i in range(1, 13)]
+        assert ALL_EXPERIMENTS == tuple(f"E{i}" for i in range(1, 13))
+        assert ALL_EXPERIMENTS == tuple(ALL_SPECS)
 
     def test_lookup_case_insensitive(self):
-        assert get_experiment("e7") is ALL_EXPERIMENTS["E7"]
+        assert get_spec("e7") is ALL_SPECS["E7"]
 
     def test_unknown_experiment(self):
         with pytest.raises(ReproError, match="unknown experiment"):
-            get_experiment("E99")
+            get_spec("E99")
 
 
 @pytest.mark.parametrize("exp_id", list(ALL_EXPERIMENTS))
 def test_experiment_passes_quick(exp_id):
     """Each experiment's claim check holds on the reduced sweep."""
-    result = get_experiment(exp_id)(True)
+    result = get_spec(exp_id).run(True)
     assert isinstance(result, ExperimentResult)
     assert result.rows, f"{exp_id} produced no rows"
     assert result.conclusions, f"{exp_id} drew no conclusions"
@@ -47,7 +50,7 @@ def test_experiment_passes_quick(exp_id):
 
 class TestExperimentResult:
     def test_render_contains_table_and_verdict(self):
-        result = get_experiment("E11")(True)
+        result = get_spec("E11").run(True)
         text = result.render()
         assert "E11" in text
         assert "claim:" in text
@@ -161,16 +164,12 @@ class TestCLIParsing:
         assert rows == ["6", "12", "24"]
 
     def test_cli_bad_sizes_is_clean_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["E8", "--sizes", "6,twelve"])
-        assert excinfo.value.code == 2
-        assert "comma-separated integers" in capsys.readouterr().err
+        assert_rejected(
+            capsys, ["E8", "--sizes", "6,twelve"], "comma-separated integers"
+        )
 
     def test_cli_quick_preset_conflict_is_clean_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["E8", "--quick", "--preset", "long"])
-        assert excinfo.value.code == 2
-        assert "conflicts" in capsys.readouterr().err
+        assert_rejected(capsys, ["E8", "--quick", "--preset", "long"], "conflicts")
 
     def test_cli_sizes_notice_for_fixed_sweep_experiments(self, capsys):
         assert main(["E3", "--sizes", "6,12,24", "--quick"]) == 0
@@ -204,10 +203,7 @@ class TestShardFlagValidation:
     def test_cli_bad_shard_is_clean_usage_error(
         self, capsys, spelling, message
     ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["E9", "--quick", "--shard", spelling])
-        assert excinfo.value.code == 2
-        assert message in capsys.readouterr().err
+        assert_rejected(capsys, ["E9", "--quick", "--shard", spelling], message)
 
     def test_parse_shard_roundtrip(self):
         from repro.runner import parse_shard
@@ -218,45 +214,28 @@ class TestShardFlagValidation:
             parse_shard("2/")
 
     def test_cli_shard_conflicts_with_no_store(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["E9", "--quick", "--shard", "1/3", "--no-store"])
-        assert excinfo.value.code == 2
-        assert "--no-store" in capsys.readouterr().err
+        assert_rejected(
+            capsys, ["E9", "--quick", "--shard", "1/3", "--no-store"], "--no-store"
+        )
 
     @pytest.mark.parametrize("command", ["report", "dashboard"])
     def test_cli_shard_rejected_in_read_only_modes(self, capsys, command):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "--quick", "--shard", "1/3"])
-        assert excinfo.value.code == 2
-        assert "does not measure" in capsys.readouterr().err
+        assert_rejected(capsys, [command, "--quick", "--shard", "1/3"], "--shard")
 
     def test_cli_ingest_needs_sources(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["ingest"])
-        assert excinfo.value.code == 2
-        assert "at least one source" in capsys.readouterr().err
+        assert_rejected(capsys, ["ingest"], "SRC")
 
     def test_cli_ingest_rejects_run_flags(self, tmp_path, capsys):
-        (tmp_path / "src").mkdir()
-        for extra, message in (
-            (["--jobs", "2"], "--jobs"),
-            (["--store", str(tmp_path / "other")], "--into DIR"),
-            (["--quick"], "--quick"),
-        ):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["ingest", str(tmp_path / "src"), *extra])
-            assert excinfo.value.code == 2
-            assert message in capsys.readouterr().err
+        for extra in (["--jobs", "2"], ["--store", "other"], ["--quick"]):
+            assert_rejected(capsys, ["ingest", str(tmp_path), *extra], extra[0])
 
     def test_cli_into_and_strip_seconds_are_ingest_only(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["E9", "--quick", "--into", "dir"])
-        assert excinfo.value.code == 2
-        assert "--into" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as excinfo:
-            main(["report", "E9", "--quick", "--strip-seconds"])
-        assert excinfo.value.code == 2
-        assert "--strip-seconds" in capsys.readouterr().err
+        assert_rejected(capsys, ["E9", "--quick", "--into", "dir"], "--into")
+        assert_rejected(
+            capsys,
+            ["report", "E9", "--quick", "--strip-seconds"],
+            "--strip-seconds",
+        )
 
 
 class TestDocs:

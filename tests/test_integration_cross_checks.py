@@ -162,9 +162,9 @@ class TestDichotomyProperty:
 class TestSeedStability:
     def test_experiments_are_deterministic(self):
         """Two runs of the same experiment produce identical tables."""
-        from repro.experiments import get_experiment
+        from repro.experiments import get_spec
 
-        first = get_experiment("E11")(True)
-        second = get_experiment("E11")(True)
+        first = get_spec("E11").run(True)
+        second = get_spec("E11").run(True)
         assert first.rows == second.rows
         assert first.conclusions == second.conclusions

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_rejected
 from repro.analysis import models as analytic
 from repro.cli import main
 from repro.core.counting import predicted_counting_bits
@@ -158,14 +159,14 @@ class TestModelMatchesSimulator:
         assert verdict["verdict"] == "PASS", verdict["mismatches"]
 
     def test_model_tables_match_sim_tables_bit_for_bit(self):
-        sim_rows = e9.run(QUICK).require_passed().rows
-        model_rows = e9.run(QUICK_MODEL).require_passed().rows
+        sim_rows = e9.SPEC.run(QUICK).require_passed().rows
+        model_rows = e9.SPEC.run(QUICK_MODEL).require_passed().rows
         assert len(sim_rows) == len(model_rows)
         for sim_row, model_row in zip(sim_rows, model_rows):
             assert sim_row["compare bits"] == model_row["compare bits"]
             assert sim_row["total bits"] == model_row["total bits"]
-        sim_rows = e10.run(QUICK).require_passed().rows
-        model_rows = e10.run(QUICK_MODEL).require_passed().rows
+        sim_rows = e10.SPEC.run(QUICK).require_passed().rows
+        model_rows = e10.SPEC.run(QUICK_MODEL).require_passed().rows
         assert len(sim_rows) == len(model_rows)
         for sim_row, model_row in zip(sim_rows, model_rows):
             assert sim_row["bits"] == model_row["bits"]
@@ -236,7 +237,7 @@ class TestPoisonedSimulator:
         monkeypatch.setattr(e9, "run_unidirectional", poisoned)
         monkeypatch.setattr(e10, "run_unidirectional", poisoned)
         for module in (e9, e10):
-            module.run(QUICK_MODEL).require_passed()
+            module.SPEC.run(QUICK_MODEL).require_passed()
 
     def test_sim_mode_still_simulates_under_poison(self, monkeypatch):
         def poisoned(*args, **kwargs):
@@ -244,7 +245,7 @@ class TestPoisonedSimulator:
 
         monkeypatch.setattr(e9, "run_unidirectional", poisoned)
         with pytest.raises(AssertionError, match="sim path reached"):
-            e9.run(QUICK)
+            e9.SPEC.run(QUICK)
 
 
 class TestStoreCoexistence:
@@ -314,5 +315,4 @@ class TestCliMode:
         assert all(record["verdict"] == "PASS" for record in records)
 
     def test_cli_rejects_unknown_mode(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["E9", "--quick", "--mode", "exact"])
+        assert_rejected(capsys, ["E9", "--quick", "--mode", "exact"], "--mode")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import assert_rejected
 from repro.cli import main
 from repro.errors import ReproError
 from repro.experiments import RunProfile, get_spec
@@ -162,10 +163,7 @@ class TestTraceCLI:
         assert "REPRO_NO_TELEMETRY" in err
 
     def test_trace_rejects_run_flags(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "--jobs", "2"])
-        assert excinfo.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert_rejected(capsys, ["trace", "--jobs", "2"], "--jobs")
 
     def test_profile_idle_line_comes_from_the_journal(self, capsys):
         assert main(

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from conftest import assert_rejected
 from repro.cli import main
 from repro.errors import ReproError
 from repro.experiments import ALL_SPECS, RunProfile, cell_seed, get_spec
@@ -296,22 +297,22 @@ class TestCLIRunnerFlags:
         assert "missing" in captured.err
         assert "FAILED" in captured.err
 
-    def test_cli_report_conflicts_with_no_store(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["report", "E8", "--quick", "--no-store"])
-        assert excinfo.value.code == 2
+    def test_cli_report_conflicts_with_no_store(self, capsys):
+        assert_rejected(
+            capsys, ["report", "E8", "--quick", "--no-store"], "--no-store"
+        )
 
     def test_cli_resume_conflicts_with_no_store(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["E8", "--quick", "--resume", "--no-store"])
-        assert excinfo.value.code == 2
-        assert "drop --no-store" in capsys.readouterr().err
+        assert_rejected(
+            capsys,
+            ["E8", "--quick", "--resume", "--no-store"],
+            "--no-store: not allowed with argument --resume",
+        )
 
     def test_cli_rejects_bad_jobs(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["E8", "--quick", "--jobs", "0"])
-        assert excinfo.value.code == 2
-        assert "positive worker count" in capsys.readouterr().err
+        assert_rejected(
+            capsys, ["E8", "--quick", "--jobs", "0"], "positive worker count"
+        )
 
     def test_cli_resume_uses_store(self, capsys, tmp_path):
         store = str(tmp_path)

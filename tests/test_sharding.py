@@ -24,9 +24,10 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_rejected
 from repro.cli import main
 from repro.errors import ReproError
 from repro.experiments import ALL_SPECS, RunProfile, get_spec
@@ -470,7 +471,22 @@ FLEET_SIZE = 3
 
 
 @pytest.fixture(scope="module")
-def fleet_stores(tmp_path_factory):
+def fleet_telemetry(tmp_path_factory):
+    """A journal root for the module-scoped fills below.
+
+    Module-scoped fixtures run outside conftest's per-test telemetry
+    isolation, so without this the fills journal into ``runs/``.
+    """
+    patch = pytest.MonkeyPatch()
+    patch.setenv(
+        "REPRO_TELEMETRY_DIR", str(tmp_path_factory.mktemp("telemetry"))
+    )
+    yield
+    patch.undo()
+
+
+@pytest.fixture(scope="module")
+def fleet_stores(tmp_path_factory, fleet_telemetry):
     root = tmp_path_factory.mktemp("fleet")
     fills = [
         ["all", "--quick"],
@@ -687,15 +703,23 @@ class TestWeightStrategy:
         total=st.integers(min_value=1, max_value=6),
     )
     @settings(max_examples=100, deadline=None)
+    @example(weights=[1, 1, 1, 5, 431, 451, 453, 433], total=2)
     def test_lpt_never_loses_to_hash(self, weights, total):
-        """LPT's max planned load <= the identity hash's, always."""
+        """LPT's max planned load is within Graham's bound of the hash's.
+
+        LPT is a (4/3 - 1/(3m))-approximation of the optimal makespan,
+        not the optimum, so a lucky hash split can beat it: the pinned
+        example gives LPT 889 against hash 888.  The hash split can
+        never beat the optimum, so Graham's bound holds against it.
+        """
         cells = [
             ("EW", _cell("EW", f"n={i}", weight))
             for i, weight in enumerate(weights)
         ]
         lpt = _loads(cells, shard_assignment(cells, total, "weight"), total)
         hashed = _loads(cells, shard_assignment(cells, total, "hash"), total)
-        assert max(lpt) <= max(hashed) + 1e-9
+        bound = 4 / 3 - 1 / (3 * total)
+        assert max(lpt) <= bound * max(hashed) + 1e-9
 
     def test_lpt_beats_hash_on_heavy_tail(self):
         """A crafted heavy tail the hash provably bunches, LPT spreads.
@@ -834,18 +858,12 @@ class TestWeightStrategy:
         assert measured == owned_fresh
 
     def test_cli_strategy_requires_shard(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "E9",
-                    "--quick",
-                    "--shard-strategy",
-                    "weight",
-                    "--store",
-                    str(tmp_path / "s"),
-                ]
-            )
-        assert "--shard-strategy only applies" in capsys.readouterr().err
+        assert_rejected(
+            capsys,
+            ["E9", "--quick", "--shard-strategy", "weight",
+             "--store", str(tmp_path / "s")],
+            "--shard-strategy only applies",
+        )
 
     def test_cli_weight_leg_runs(self, tmp_path, capsys):
         rc = main(
