@@ -345,15 +345,19 @@ def _stale_bytes(paths) -> int:
 
 
 def _warn_stale(
-    store: RunStore, spec, profile: RunProfile, prune: bool, dry_run: bool
+    store: RunStore,
+    spec,
+    cells: list,
+    profile: RunProfile,
+    prune: bool,
+    dry_run: bool,
 ) -> None:
     """Report-mode hygiene: list (and optionally delete) stale files.
 
-    Only files the current plan's cells supersede are ever considered —
-    records belonging to a different ``--sizes`` override share the
-    preset directory but are not stale and are never touched.
+    Only files the current plan's ``cells`` supersede are ever
+    considered — records belonging to a different ``--sizes`` override
+    share the preset directory but are not stale and are never touched.
     """
-    cells = spec.cells(profile)
     stale = store.stale_paths(cells, profile)
     if not stale:
         return
@@ -415,9 +419,12 @@ def _run_report(args, profile: RunProfile, store: RunStore, exp_ids) -> int:
     rendered: list[tuple[str, PlanExecution]] = []
     for exp_id in exp_ids:
         spec = get_spec(exp_id)
-        _warn_stale(store, spec, profile, args.prune_stale, args.dry_run)
+        # One plan serves the stale scan and the render: each cell's
+        # config hash is then computed once.
+        cells = spec.cells(profile)
+        _warn_stale(store, spec, cells, profile, args.prune_stale, args.dry_run)
         try:
-            execution = report_from_store(spec, profile, store)
+            execution = report_from_store(spec, profile, store, cells)
         except ReproError as error:
             print(str(error), file=sys.stderr)
             failures += 1

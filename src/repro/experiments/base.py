@@ -30,12 +30,14 @@ path every legacy ``run(profile)`` entry point delegates to.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
 import os
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.tables import format_table
@@ -88,7 +90,10 @@ DEFAULT_SEED = 20250612
 # and its own fn source — but not helpers or the simulators the fn
 # calls.  Bump this when substrate changes alter measured results, so
 # every stored record in runs/ stops matching and --resume/report fail
-# closed instead of serving pre-change numbers.
+# closed instead of serving pre-change numbers.  Source text is read
+# once per function object per process and each cell memoises its hash,
+# so an edit takes effect in the next process (or after a reload, which
+# makes new function objects) — never mid-run.
 # v2: cells carry a mode axis (sim | model | verify); the mode is part
 # of the hash (and of non-sim cell keys), so model-backed and simulated
 # records of the same (exp, size) are distinct store entries.
@@ -340,13 +345,16 @@ SplitFn = Callable[["Cell"], "Sequence[Subtask]"]
 FoldFn = Callable[[dict, dict], dict]
 
 
+@functools.lru_cache(maxsize=None)
 def _fn_source(fn: CellFn) -> str:
     """The measurement function's source text, for the config hash.
 
     Conservative by design: any edit (even formatting) invalidates
     stored records.  Source-less callables (builtins, REPL definitions)
     fall back to the empty string — their identity is then carried by
-    the qualified name alone.
+    the qualified name alone.  Read once per function *object*: a
+    reloaded or redefined function is a new object and is read afresh,
+    whatever its qualified name.
     """
     try:
         return inspect.getsource(fn)
@@ -354,11 +362,35 @@ def _fn_source(fn: CellFn) -> str:
         return ""
 
 
+def _fn_name(fn: Callable) -> str:
+    return f"{fn.__module__}.{fn.__qualname__}"
+
+
 def _hook_id(hook: "Callable | None") -> "list[str] | None":
     """Identity of an optional split/fold hook for the config hash."""
     if hook is None:
         return None
-    return [f"{hook.__module__}.{hook.__qualname__}", _fn_source(hook)]
+    return [_fn_name(hook), _fn_source(hook)]
+
+
+@functools.lru_cache(maxsize=None)
+def _code_identity(
+    fn: CellFn, split: "SplitFn | None", fold: "FoldFn | None"
+) -> "Mapping[str, object]":
+    """The code part of a cell's hash blob, built once per hook triple."""
+    return MappingProxyType(
+        {
+            "fn": _fn_name(fn),
+            "fn_source": _fn_source(fn),
+            # The divisibility hooks are part of the measurement's
+            # identity (a fold edit must invalidate folded records),
+            # but NOT the split/no-split execution choice: divided
+            # and undivided runs of the same cell share one hash,
+            # which is what lets REPRO_NO_SPLIT byte-diff stores.
+            "split": _hook_id(split),
+            "fold": _hook_id(fold),
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -434,33 +466,36 @@ class Cell:
 
         Covers everything the record is a function of: params, the
         derived seed, and the measurement *code* — the cell fn's
-        qualified name plus its source text — so editing a ``_measure``
-        body invalidates stored records instead of silently serving
-        pre-fix numbers to ``--resume``/``report``.  (Helpers the fn
-        calls are not covered; bump :data:`CELL_SCHEMA_VERSION` when
-        changing those in a result-affecting way.)
+        qualified name plus its source text, and the same for the
+        split/fold hooks — so editing a ``_measure`` body invalidates
+        stored records instead of silently serving pre-fix numbers to
+        ``--resume``/``report``.  (Helpers the fn calls are not covered;
+        bump :data:`CELL_SCHEMA_VERSION` when changing those in a
+        result-affecting way.)
+
+        Computed once: source is read once per function object per
+        process, and the digest is memoised on the cell.  The memo is not
+        a field — equality, ``repr`` and ``dataclasses.replace`` never see
+        it — but it rides along when the cell is pickled to a worker.
         """
+        memo = self.__dict__.get("_config_hash")
+        if memo is not None:
+            return memo
         blob = json.dumps(
             {
+                **_code_identity(self.fn, self.split, self.fold),
                 "schema": CELL_SCHEMA_VERSION,
                 "exp_id": self.exp_id,
                 "key": self.key,
                 "mode": self.mode,
                 "params": dict(self.params),
                 "seed": self.seed,
-                "fn": f"{self.fn.__module__}.{self.fn.__qualname__}",
-                "fn_source": _fn_source(self.fn),
-                # The divisibility hooks are part of the measurement's
-                # identity (a fold edit must invalidate folded records),
-                # but NOT the split/no-split execution choice: divided
-                # and undivided runs of the same cell share one hash,
-                # which is what lets REPRO_NO_SPLIT byte-diff stores.
-                "split": _hook_id(self.split),
-                "fold": _hook_id(self.fold),
             },
             sort_keys=True,
         )
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
+        object.__setattr__(self, "_config_hash", digest)
+        return digest
 
 
 def run_cell(cell: Cell) -> dict:

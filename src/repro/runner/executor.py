@@ -171,15 +171,18 @@ def report_from_store(
     spec: ExperimentSpec,
     profile: "bool | RunProfile",
     store: RunStore,
+    cells: "list[Cell] | None" = None,
 ) -> PlanExecution:
     """Re-render an experiment purely from stored cell records.
 
     No simulation happens: every cell of the plan must already be in the
-    store (:meth:`RunStore.require_all` raises otherwise).
+    store (:meth:`RunStore.require_all` raises otherwise).  ``cells`` is
+    the plan under ``profile`` when the caller already built it.
     """
     profile = RunProfile.coerce(profile)
     started = time.perf_counter()
-    cells = spec.cells(profile)
+    if cells is None:
+        cells = spec.cells(profile)
     loaded = store.require_all(cells, profile)
     records = {cell.key: loaded[cell.key].record for cell in cells}
     result = spec.finalize(profile, records)

@@ -140,7 +140,10 @@ class RunStore:
         also a miss (the cell is simply re-measured), but it warns: the
         operator should know a record they paid for is unreadable.
         """
-        path = self.path_for(cell, profile)
+        return self._load_at(cell, self.path_for(cell, profile))
+
+    def _load_at(self, cell: Cell, path: Path) -> StoredCell | None:
+        """:meth:`load` for a caller that already holds the cell's path."""
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
@@ -150,7 +153,7 @@ class RunStore:
                 f"run store record {path} is corrupt ({error}); treating "
                 "the cell as unmeasured",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             return None
         if not isinstance(payload, dict):
@@ -432,9 +435,10 @@ class RunStore:
         for exp_id, cells in plans.items():
             hits: dict[str, StoredCell] = {}
             for cell in cells:
-                if self.path_for(cell, profile) not in present:
+                path = self.path_for(cell, profile)
+                if path not in present:
                     continue
-                stored = self.load(cell, profile)
+                stored = self._load_at(cell, path)
                 if stored is not None:
                     hits[cell.key] = stored
             skip[exp_id] = hits
