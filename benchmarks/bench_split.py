@@ -6,110 +6,26 @@ that floor is the heaviest cell — PR 8's ``E9 E10 --sizes
 1024,2048,3072`` fleet bottomed out at ~5.4 s on 4 shards because the
 two n^2@3072 simulation cells ride whole.  Divisible cells decompose
 into subtasks the weight strategy schedules independently, dropping the
-floor to the heaviest *subtask* (Σ/N plus the largest part).
+floor to the heaviest *subtask* (Σ/N plus the largest part).  The
+measured monolithic-versus-divided makespans are committed in
+``BENCH_2026-08-08_split.json`` (and ``LEDGER.jsonl``).
 
-Two entry points:
-
-* ``python benchmarks/bench_split.py`` — the measured comparison: the
-  heavy-tail fleet's 4 weight-sharded legs run sequentially (one core
-  per leg on CI-class hardware), monolithic (``REPRO_NO_SPLIT=1``)
-  versus divided, makespan = slowest leg's wall clock.  Prints the
-  ``BENCH_*_split.json`` payload.
-* ``pytest benchmarks/bench_split.py`` — correctness-asserting smoke
-  rows for the bench-smoke CI job (quick workload, timing optional):
-  a divided quick campaign folds every cell it splits, and the weight
-  partition provably places one cell's parts on different shards.
+``pytest benchmarks/bench_split.py`` runs correctness-asserting smoke
+rows for the bench-smoke CI job (quick workload, timing optional): a
+divided quick campaign folds every cell it splits, and the weight
+partition provably places one cell's parts on different shards.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import tempfile
-import time
 from pathlib import Path
 
 from repro.experiments import RunProfile, get_spec
 from repro.runner import RunStore, execute_campaign
 from repro.runner.sharding import campaign_assignment
 
-# PR 8's heavy-tail workload, unchanged: 24 cells, dominated by the two
-# n^2@3072 sim cells (BENCH_2026-08-08_delivery.json recorded the
-# monolithic 4-shard weight makespan at 5.37 s on this hardware class).
-HEAVY = RunProfile(preset="full", sizes=(1024, 2048, 3072))
-HEAVY_EXPS = ("E9", "E10")
-SHARDS = 4
-
 QUICK = RunProfile(preset="quick")
-
-
-def _run_legs(profile: RunProfile, base: Path) -> "list[float]":
-    """Wall clock of each weight-sharded leg, run back to back.
-
-    Sequential legs are the fleet methodology on one-core hardware: a
-    real fleet runs them concurrently, so its makespan is the slowest
-    leg's wall — which is exactly ``max`` of these.
-    """
-    specs = [get_spec(exp_id) for exp_id in HEAVY_EXPS]
-    walls = []
-    for index in range(1, SHARDS + 1):
-        store = RunStore(base / f"leg{index}")
-        start = time.perf_counter()
-        execute_campaign(
-            specs,
-            profile,
-            jobs=1,
-            store=store,
-            shard=(index, SHARDS),
-            shard_strategy="weight",
-        )
-        walls.append(round(time.perf_counter() - start, 2))
-    return walls
-
-
-def payload() -> dict:
-    """Measure monolithic vs divided makespans and shape the JSON record."""
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        prior = os.environ.get("REPRO_NO_SPLIT")
-        os.environ["REPRO_NO_SPLIT"] = "1"
-        try:
-            mono_legs = _run_legs(HEAVY, base / "mono")
-        finally:
-            if prior is None:
-                os.environ.pop("REPRO_NO_SPLIT", None)
-            else:
-                os.environ["REPRO_NO_SPLIT"] = prior
-        split_legs = _run_legs(HEAVY, base / "split")
-    mono_makespan = max(mono_legs)
-    split_makespan = max(split_legs)
-    return {
-        "divisible_cell_makespan": {
-            "workload": (
-                "E9 E10 --sizes 1024,2048,3072, 24 cells, heavy-tailed "
-                "(two n^2@3072 sim cells dominate); 4 weight-sharded legs"
-            ),
-            "method": (
-                "makespan = slowest leg's measured wall clock, legs run "
-                "sequentially (one core per leg); monolithic legs under "
-                "REPRO_NO_SPLIT=1 simulate every cell whole, divided legs "
-                "decompose each member run into ring-segment replays "
-                "(repro.core.{hierarchy,known_n}.replay_segment) plus the "
-                "true non-member simulation (part records merge at ingest)"
-            ),
-            "monolithic_legs_s": mono_legs,
-            "split_legs_s": split_legs,
-            "monolithic_makespan_s": mono_makespan,
-            "split_makespan_s": split_makespan,
-            "split_vs_monolithic": round(mono_makespan / split_makespan, 2),
-            "acceptance": (
-                "divided makespan <= 3.6 s (>= 1.5x over the monolithic "
-                "~5.4 s floor recorded in BENCH_2026-08-08_delivery.json); "
-                "byte-identity of divided vs monolithic campaigns is the "
-                "split-parity CI job, not re-proved here"
-            ),
-        }
-    }
 
 
 def bench_quick_divided_campaign(benchmark):
@@ -178,6 +94,3 @@ def bench_weight_partition_splits_divisible_cells(benchmark):
             )
     assert all(len(shards) == 1 for shards in hash_by_cell.values())
 
-
-if __name__ == "__main__":
-    print(json.dumps(payload(), indent=1, sort_keys=True))

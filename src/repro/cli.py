@@ -65,8 +65,8 @@ config hash still matches.
 Cells that declare a ``split`` hook are *divisible*: their subtasks
 are pool work items folded back into the exact record the monolithic
 path produces.  Landed parts persist as ``.json.part`` records, so
-``--resume`` restarts mid-cell; ``REPRO_NO_SPLIT=1`` disables splitting,
-keeping the undivided path available as the oracle.
+``--resume`` restarts mid-cell.  A campaign splits every divisible
+cell; the undivided path (``run_cell``) stays the oracle in the tests.
 
 ``report`` renders entirely from the store and runs no simulations:
 ``--all`` appends an aggregated campaign summary over every experiment,

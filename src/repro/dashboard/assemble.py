@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.analysis.growth import FitResult, classify_growth
 from repro.errors import ReproError
 from repro.experiments import ALL_SPECS, ExperimentResult, RunProfile
-from repro.experiments.base import ExperimentSpec, splitting_enabled
+from repro.experiments.base import ExperimentSpec
 from repro.runner.sharding import shard_index
 from repro.runner.store import RunStore
 
@@ -56,8 +56,8 @@ class CellView:
     # Divisible cells only: the subtask roster as (part, seconds) pairs.
     # Derived, not recorded — parts are cleared once folded, so the
     # stored wall clock is split back proportional to the planned
-    # subtask weights; empty when splitting is off (REPRO_NO_SPLIT=1)
-    # or the cell is monolithic.
+    # subtask weights, from the cell alone (a campaign splits every
+    # divisible cell); empty when the cell is monolithic.
     parts: "tuple[tuple[str, float], ...]" = ()
 
 
@@ -198,7 +198,7 @@ def _assemble_experiment(
         records[cell.key] = stored.record
         record = stored.record if isinstance(stored.record, dict) else {}
         parts: "tuple[tuple[str, float], ...]" = ()
-        if cell.divisible and splitting_enabled():
+        if cell.divisible:
             subtasks = cell.subtasks()
             total = sum(subtask.weight for subtask in subtasks)
             parts = tuple(

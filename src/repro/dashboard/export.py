@@ -42,7 +42,7 @@ __all__ = [
 # v3: per-cell "parts" roster (divisible cells' subtask decomposition,
 # with the stored wall clock split back proportional to the planned
 # subtask weights — derived, not recorded, like "shard") in
-# campaign.json and the cells CSVs; empty under REPRO_NO_SPLIT=1.
+# campaign.json and the cells CSVs; empty for monolithic cells.
 # v4: each bench-trajectory entry carries "records" — the file's
 # measurements normalized to the canonical {name, value, unit, context}
 # schema (repro.obs.ledger), alongside the verbatim "data".

@@ -34,7 +34,6 @@ import functools
 import hashlib
 import inspect
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -58,7 +57,6 @@ __all__ = [
     "route_mode",
     "run_cell",
     "run_subtask",
-    "splitting_enabled",
     "subtask_seed",
     "PRESETS",
     "MODES",
@@ -249,20 +247,6 @@ def subtask_seed(
     return cell_seed(exp_id, f"{key}#part={part}", base)
 
 
-def splitting_enabled() -> bool:
-    """Whether divisible cells actually decompose (REPRO_NO_SPLIT kill
-    switch).
-
-    With ``REPRO_NO_SPLIT=1`` every divisible cell runs its monolithic
-    measurement function — the oracle path the split/fold pair must
-    reproduce byte-for-byte (the ``split-parity`` CI job diffs whole
-    campaigns across this switch).  Cell identity is unaffected: the
-    config hash covers the declared hooks either way, so both paths
-    share store records.
-    """
-    return not os.environ.get("REPRO_NO_SPLIT")
-
-
 def route_mode(
     profile: "bool | RunProfile", n: int, ceiling: int = SIM_CEILING
 ) -> str:
@@ -384,9 +368,9 @@ def _code_identity(
             "fn_source": _fn_source(fn),
             # The divisibility hooks are part of the measurement's
             # identity (a fold edit must invalidate folded records),
-            # but NOT the split/no-split execution choice: divided
-            # and undivided runs of the same cell share one hash,
-            # which is what lets REPRO_NO_SPLIT byte-diff stores.
+            # but NOT the route a record took: a campaign's folded
+            # record and run_cell's monolithic one share one hash,
+            # which is what lets the two stores be byte-diffed.
             "split": _hook_id(split),
             "fold": _hook_id(fold),
         }
@@ -411,10 +395,12 @@ class Cell:
     ``split(cell) -> [Subtask, ...]`` decomposes the measurement into
     independent picklable slices (each with a :func:`subtask_seed`
     sub-seed) and ``fold(params, {part: record}) -> record`` is the
-    pure reducer reconstructing the exact cell record.  The contract —
-    enforced by the ``split-parity`` CI diff and the kill switch
-    (:func:`splitting_enabled`) — is byte-identity: ``fold`` over the
-    parts must equal what ``fn`` computes monolithically.
+    pure reducer reconstructing the exact cell record.  A campaign
+    splits every divisible cell; :func:`run_cell` (and so
+    :meth:`ExperimentSpec.run`) always measures monolithically and is
+    the oracle.  The contract is byte-identity: ``fold`` over the parts
+    must equal what ``fn`` computes monolithically
+    (``tests/test_split.py`` diffs the two stores).
     """
 
     exp_id: str

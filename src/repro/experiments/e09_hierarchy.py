@@ -22,9 +22,10 @@ non-member simulation rides as one subtask, and the member run — the
 Θ(g(n)) single-token pass that used to pin the campaign makespan —
 decomposes into independent ring-segment replays
 (:func:`repro.core.hierarchy.replay_segment`), every part drawing its
-inputs from identity-derived seeds.  The monolithic path
-(``REPRO_NO_SPLIT=1``) simulates both halves for real and stays the
-byte-identity oracle for the replays.
+inputs from identity-derived seeds.  A campaign always splits these
+cells; the monolithic path (``run_cell`` / ``ExperimentSpec.run``)
+simulates both halves for real and stays the byte-identity oracle for
+the replays.
 
 Mode axis (PERFORMANCE.md layer 7): the compare-pass counts are
 position-determined, so :mod:`repro.analysis.models` predicts them in
@@ -162,7 +163,7 @@ def _measure_non_member(params: dict, rng: random.Random) -> dict:
 # prefix, and sizes come from the live codec).  The non-member run
 # stays a true simulation: it is the cheap half, and it keeps the
 # simulator exercised on the default path.  The monolithic oracle
-# (_measure under REPRO_NO_SPLIT=1) simulates BOTH halves, so
+# (_measure, reached through run_cell) simulates BOTH halves, so
 # fold(subtasks) == monolithic asserts replay == simulation.
 _SEGMENTS = 4
 # Divided-path cost shares of the declared cell weight: the non-member

@@ -154,7 +154,7 @@ def _measure_hierarchy_non_member(params: dict, rng: random.Random) -> dict:
 # member run — the Θ(g(n)) single-token pass — replays as _SEGMENTS
 # independent ring slices (repro.core.known_n.replay_segment), the
 # non-member run stays a true simulation, and the monolithic oracle
-# (_measure_hierarchy under REPRO_NO_SPLIT=1) simulates both halves.
+# (_measure_hierarchy, reached through run_cell) simulates both halves.
 _SEGMENTS = 4
 _NON_MEMBER_SHARE = 0.9
 

@@ -25,8 +25,9 @@ FIFO) and the run streams ``trace="metrics"``, the whole loop is
 replaced by the round-batched engine
 (:func:`~repro.ring.delivery.run_round_batched`): identical delivery
 order and accounting, but whole rounds swept at a time with no heap,
-no dict-keyed queues, and no per-delivery scheduler call.  Set
-``REPRO_NO_ROUND_BATCH=1`` to force the heap oracle.
+no dict-keyed queues, and no per-delivery scheduler call.  The run
+batches if and only if both hold; a full trace, or a FIFO scheduler
+that declines batching, takes the heap loop, which is the oracle.
 
 Trace modes: ``run(trace="full")`` (default) materializes an
 :class:`~repro.ring.trace.ExecutionTrace`; ``run(trace="metrics")``
@@ -38,11 +39,7 @@ from __future__ import annotations
 
 from repro.bits import Bits
 from repro.errors import ProtocolError, RingError
-from repro.ring.delivery import (
-    LinkQueues,
-    round_batching_enabled,
-    run_round_batched,
-)
+from repro.ring.delivery import LinkQueues, run_round_batched
 from repro.ring.messages import Direction, Send
 from repro.ring.processor import Processor, RingAlgorithm
 from repro.ring.schedulers import FifoScheduler, Scheduler
@@ -108,7 +105,7 @@ class BidirectionalRing:
             )
         else:
             record = TraceStats(self.word, leader=0)
-            if self.scheduler.round_batchable and round_batching_enabled():
+            if self.scheduler.round_batchable:
                 # Pure global-FIFO + streaming counters: take the
                 # round-batched engine (no heap, no per-delivery
                 # scheduling — identical order and accounting).

@@ -20,18 +20,21 @@ messages.  This module owns that machinery, at three cost tiers:
   counters into flat local tables and writing them back once at
   quiescence.  No heap, no per-queue dict hashing, no ``Scheduler.choose``
   call, no per-message method dispatch: one tight loop per round.  The
-  accounting is bit-for-bit identical to the heap path below, which
-  stays untouched as the oracle (``tests/test_delivery_batch.py`` pins
-  the equivalence; the ``delivery-parity`` CI job diffs whole quick
-  campaigns with the engine forced off via ``REPRO_NO_ROUND_BATCH=1``).
+  engine picks itself: a run batches if and only if its scheduler is
+  ``round_batchable`` and it streams ``trace="metrics"`` — there is no
+  switch.  The accounting is bit-for-bit identical to the heap path
+  below, which stays the oracle: a ``trace="full"`` run (whose
+  ``ExecutionTrace.stats()`` must equal the batched counters) or a FIFO
+  scheduler that declines batching reaches it
+  (``tests/test_delivery_batch.py`` pins the equivalence).
   The unidirectional ring rides the same engine (``uni=True``): it has
   no scheduler at all — its global FIFO deque *is* the engine's
   delivery order — so its metrics-mode runs sweep rounds too, with the
   CCW-send model violation raised at enqueue time in that simulator's
   exact wording.
 * **Heap path** — when the scheduler only ever consumes the oldest head
-  (``Scheduler.head_only``) but the run needs full traces (or the batch
-  engine is disabled), the active queues live in a min-heap keyed by
+  (``Scheduler.head_only``) but the run needs full traces (or the
+  scheduler declines batching), the active queues live in a min-heap keyed by
   head enqueue stamp: each delivery peeks/pops the top and pushes the
   queue's next head — O(log q) for q concurrently active queues; see
   ``benchmarks/bench_bidi_delivery.py`` and PERFORMANCE.md.
@@ -51,7 +54,6 @@ message of the current round sweep" all name the same message.
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import bisect_left, insort
 from collections import deque
 from typing import TYPE_CHECKING, Hashable, Sequence
@@ -64,18 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ring.processor import Processor
     from repro.ring.trace import TraceStats
 
-__all__ = ["LinkQueues", "round_batching_enabled", "run_round_batched"]
-
-
-def round_batching_enabled() -> bool:
-    """Whether metrics-mode runs may take the round-batched engine.
-
-    The ``REPRO_NO_ROUND_BATCH`` environment variable forces the heap
-    oracle everywhere — the ``delivery-parity`` CI job uses it to diff a
-    whole quick campaign against the batch engine, and it is the
-    escape hatch if a scheduler ever mis-declares ``round_batchable``.
-    """
-    return not os.environ.get("REPRO_NO_ROUND_BATCH")
+__all__ = ["LinkQueues", "run_round_batched"]
 
 
 def run_round_batched(

@@ -30,7 +30,8 @@ produces).  Under a ``round_batchable`` scheduler with
 ``trace="metrics"`` the loop is replaced wholesale by
 :func:`~repro.ring.delivery.run_round_batched` — same delivery order
 and accounting, whole rounds per sweep, no heap and no per-delivery
-scheduling (``REPRO_NO_ROUND_BATCH=1`` forces the heap oracle back).
+scheduling.  The run batches if and only if both hold; a full trace,
+or a FIFO scheduler that declines batching, takes the heap oracle.
 
 Trace modes: ``LineNetwork.run(trace="full" | "metrics")`` mirrors the
 ring simulators (full :class:`~repro.ring.trace.ExecutionTrace` vs
@@ -50,11 +51,7 @@ from dataclasses import dataclass, field
 
 from repro.bits import Bits
 from repro.errors import ProtocolError, RingError
-from repro.ring.delivery import (
-    LinkQueues,
-    round_batching_enabled,
-    run_round_batched,
-)
+from repro.ring.delivery import LinkQueues, run_round_batched
 from repro.ring.messages import Direction, Send
 from repro.ring.processor import Processor, RingAlgorithm
 from repro.ring.schedulers import FifoScheduler, Scheduler
@@ -365,7 +362,7 @@ class LineNetwork:
             )
         else:
             record = TraceStats(self.word, leader=self.leader)
-            if self.scheduler.round_batchable and round_batching_enabled():
+            if self.scheduler.round_batchable:
                 # Pure global-FIFO + streaming counters: round-batched
                 # engine (identical order/accounting, no heap, no
                 # per-delivery scheduling); line topology rejects sends

@@ -30,8 +30,9 @@ mode takes the round-batched engine
 (:func:`~repro.ring.delivery.run_round_batched` with ``uni=True``):
 global FIFO is round-structured, so the engine's sweep order is
 exactly this deque's pop order, with identical counters and identical
-model-violation errors.  ``REPRO_NO_ROUND_BATCH=1`` forces the deque
-loop, which stays as the parity oracle.
+model-violation errors.  The deque loop runs only for full traces; it
+is the oracle (``run(trace="full").stats()`` must equal the metrics
+run's counters).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from collections import deque
 
 from repro.bits import Bits
 from repro.errors import ProtocolError, RingError
-from repro.ring.delivery import round_batching_enabled, run_round_batched
+from repro.ring.delivery import run_round_batched
 from repro.ring.messages import Direction, Send
 from repro.ring.processor import Processor, RingAlgorithm
 from repro.ring.trace import (
@@ -92,32 +93,20 @@ class UnidirectionalRing:
         """
         validate_trace_policy(trace)
         n = len(self.word)
-        full = trace == "full"
-        record: ExecutionTrace | TraceStats
-        if full:
-            record = ExecutionTrace(
-                word=self.word,
-                leader=0,
-                local_logs=[[] for _ in range(n)],
+        if trace == "metrics":
+            # The unique execution is global-FIFO by definition, so
+            # metrics-mode runs take the round-batched engine (uni=True:
+            # CCW sends raise this simulator's model violation).
+            stats = TraceStats(self.word, leader=0)
+            run_round_batched(
+                self.processors, n, 0, stats, max_messages, uni=True
             )
-        else:
-            record = TraceStats(self.word, leader=0)
-            if round_batching_enabled():
-                # The unique execution is global-FIFO by definition, so
-                # metrics-mode runs take the round-batched engine
-                # (uni=True: CCW sends raise this simulator's model
-                # violation).  REPRO_NO_ROUND_BATCH=1 forces the deque
-                # loop below, the oracle the parity tests diff against.
-                run_round_batched(
-                    self.processors, n, 0, record, max_messages, uni=True
-                )
-                record.decision = self.processors[0].decision
-                if record.decision is None:
-                    raise ProtocolError(
-                        f"execution of {self.algorithm.name!r} on "
-                        f"{self.word!r} quiesced without a leader decision"
-                    )
-                return record
+            return self._decided(stats)
+        record = ExecutionTrace(
+            word=self.word,
+            leader=0,
+            local_logs=[[] for _ in range(n)],
+        )
         pending: deque[tuple[int, Bits]] = deque()
         delivered = 0
 
@@ -131,8 +120,7 @@ class UnidirectionalRing:
                         f"(p_{sender} tried {send.direction})"
                     )
                 bits = send.bits if type(send.bits) is Bits else Bits(send.bits)
-                if full:
-                    record.local_logs[sender].append(("sent", Direction.CW, bits))
+                record.local_logs[sender].append(("sent", Direction.CW, bits))
                 pending.append((sender, bits))
                 if len(pending) > record.max_in_flight:
                     record.max_in_flight = len(pending)
@@ -147,26 +135,28 @@ class UnidirectionalRing:
                 )
             sender, bits = pending.popleft()
             receiver = sender + 1 if sender + 1 < n else 0
-            if full:
-                record.events.append(
-                    MessageEvent(
-                        index=delivered,
-                        sender=sender,
-                        receiver=receiver,
-                        direction=Direction.CW,
-                        bits=bits,
-                    )
+            record.events.append(
+                MessageEvent(
+                    index=delivered,
+                    sender=sender,
+                    receiver=receiver,
+                    direction=Direction.CW,
+                    bits=bits,
                 )
-                # A CW message arrives on the receiver's CCW port.
-                record.local_logs[receiver].append(
-                    ("received", Direction.CCW, bits)
-                )
-            else:
-                record.record(sender, receiver, Direction.CW, len(bits))
+            )
+            # A CW message arrives on the receiver's CCW port.
+            record.local_logs[receiver].append(("received", Direction.CCW, bits))
             delivered += 1
             responses = self.processors[receiver].on_receive(bits, Direction.CCW)
             enqueue(receiver, responses)
 
+        return self._decided(record)
+
+    def _decided(
+        self, record: ExecutionTrace | TraceStats
+    ) -> ExecutionTrace | TraceStats:
+        """Copy the leader's decision into ``record``; quiescing undecided
+        is a model violation."""
         record.decision = self.processors[0].decision
         if record.decision is None:
             raise ProtocolError(

@@ -23,9 +23,11 @@ subtasks that are scheduled as first-class work items — interleaved
 with ordinary cells in the same heaviest-first order — and the pure
 ``fold`` reducer reconstructs the cell record the moment its last part
 lands.  Each landed part streams into the store as a ``.json.part``
-record under the cell's key, so a killed campaign resumes mid-cell;
-``REPRO_NO_SPLIT=1`` (:func:`repro.experiments.base.splitting_enabled`)
-keeps the monolithic path as the byte-for-byte oracle.
+record under the cell's key, so a killed campaign resumes mid-cell.
+A campaign splits every divisible cell; the monolithic path
+(:func:`repro.experiments.base.run_cell`, and so
+:meth:`~repro.experiments.base.ExperimentSpec.run`) is the
+byte-for-byte oracle.
 
 ``CampaignExecution`` additionally accounts the campaign as a whole:
 ``busy_seconds`` (worker-seconds spent measuring, folding, and
@@ -48,7 +50,6 @@ from repro.experiments.base import (
     RunProfile,
     Subtask,
     fold_cell,
-    splitting_enabled,
 )
 from repro.obs.journal import JOURNAL_SCHEMA, Journal, activate
 from repro.runner.executor import (
@@ -397,7 +398,6 @@ def _run_campaign(
     # pool item, with an assembly accumulating the landed parts.  On
     # resume, parts a killed run already persisted load back from their
     # .json.part records and only the missing parts are measured.
-    split_active = splitting_enabled()
     assemblies: "dict[tuple[str, str], _CellAssembly]" = {}
     pending: "list[tuple[_ExperimentState, Cell, Subtask | None]]" = []
     for exp_id, state in states.items():
@@ -410,7 +410,7 @@ def _run_campaign(
                 )
                 emit("cell_cached", exp=exp_id, key=cell.key, mode=cell.mode)
                 continue
-            if split_active and cell.divisible:
+            if cell.divisible:
                 assembly = _CellAssembly(state, cell, cell.subtasks())
                 assemblies[(exp_id, cell.key)] = assembly
                 stored_parts = (
@@ -441,7 +441,7 @@ def _run_campaign(
         planned: "list[tuple[str, Cell | Subtask]]" = []
         for state in states.values():
             for cell in state.cells:
-                if split_active and cell.divisible:
+                if cell.divisible:
                     planned.extend(
                         (state.spec.exp_id, subtask)
                         for subtask in cell.subtasks()

@@ -9,10 +9,11 @@ shared journal every processor appends to), identical
 tables — across the asynchronous substrates (bidirectional ring, line)
 and the unidirectional ring (``uni=True``, whose own global-FIFO deque
 loop is the oracle), with randomized protocols.
+The oracles are reached through code production runs: a ``trace="full"``
+run, or a FIFO scheduler that declines batching (``_HeapFifo``).
 The poisoned-oracle tests prove the engagement rule from both sides: an
-engaged batch run never constructs :class:`LinkQueues` at all, and
-``REPRO_NO_ROUND_BATCH=1`` (the ``delivery-parity`` CI job's diff lever)
-forces the heap back.
+engaged batch run never constructs :class:`LinkQueues` at all, and a
+full trace or a scheduler that is not ``round_batchable`` takes the heap.
 
 The incremental sorted view (the non-``head_only`` candidate list) is
 covered by a push/pop state-machine property against a from-scratch
@@ -21,9 +22,7 @@ re-sort.
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +32,7 @@ from repro.bits import Bits
 from repro.errors import ProtocolError
 from repro.experiments import get_spec
 from repro.ring.bidirectional import BidirectionalRing, run_bidirectional
-from repro.ring.delivery import LinkQueues, round_batching_enabled
+from repro.ring.delivery import LinkQueues
 from repro.ring.line import LineNetwork
 from repro.ring.messages import Direction, Send
 from repro.ring.processor import Processor, RingAlgorithm
@@ -66,16 +65,6 @@ class _HeapFifo(FifoScheduler):
 def _assert_stats_equal(left, right) -> None:
     for field in STAT_FIELDS:
         assert getattr(left, field) == getattr(right, field), field
-
-
-@contextmanager
-def _batching_disabled():
-    """Force the oracle loop, hypothesis-safe (no function-scoped fixture)."""
-    os.environ["REPRO_NO_ROUND_BATCH"] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop("REPRO_NO_ROUND_BATCH", None)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +204,11 @@ class TestOracleEquivalence:
         """A whole experiment renders byte-identically on both engines.
 
         E6 drives the line substrate (the ring-to-line compiler) whose
-        quick cells stream metrics — the same lever the CI
-        ``delivery-parity`` job pulls on whole quick campaigns.
+        quick cells stream metrics; a FIFO scheduler that declines
+        batching puts every one of them on the heap.
         """
         batched = get_spec("E6").run(True).render()
-        monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "1")
+        monkeypatch.setattr(FifoScheduler, "round_batchable", False)
         heap = get_spec("E6").run(True).render()
         assert batched == heap
 
@@ -229,8 +218,8 @@ class TestUnidirectionalBatch:
 
     The unidirectional simulator has no scheduler or ``LinkQueues`` —
     its deque loop *is* global FIFO — so parity pins the engine against
-    that loop (``REPRO_NO_ROUND_BATCH=1``) instead of a heap, plus the
-    full-trace accounting which always takes the deque path.
+    that loop instead of a heap.  Only full traces take the deque loop,
+    so ``run(trace="full").stats()`` is the oracle.
     """
 
     @given(
@@ -240,16 +229,13 @@ class TestUnidirectionalBatch:
     @settings(max_examples=60, deadline=None)
     def test_uni_batch_equals_deque_and_full(self, seed, n):
         batch, batch_journal = _run_chaos_uni(seed, n, "metrics")
-        with _batching_disabled():
-            deque_stats, deque_journal = _run_chaos_uni(seed, n, "metrics")
         full, full_journal = _run_chaos_uni(seed, n, "full")
         # Identical delivery order, message for message...
-        assert batch_journal == deque_journal == full_journal
+        assert batch_journal == full_journal
         # ...and identical accounting, field for field.
-        _assert_stats_equal(batch, deque_stats)
         _assert_stats_equal(batch, full.stats())
 
-    def test_uni_ccw_error_identical(self, monkeypatch):
+    def test_uni_ccw_error_identical(self):
         """The engine's CCW rejection matches the deque loop's, word for
         word (the unidirectional model violation, not the line's)."""
 
@@ -270,17 +256,16 @@ class TestUnidirectionalBatch:
             def create_processor(self, letter, is_leader):
                 return _Rebel(letter, is_leader)
 
-        def message():
+        def message(trace):
             with pytest.raises(ProtocolError) as info:
-                run_unidirectional(_RebelAlgo(), "aaa", trace="metrics")
+                run_unidirectional(_RebelAlgo(), "aaa", trace=trace)
             return str(info.value)
 
-        batched = message()
+        batched = message("metrics")
         assert "unidirectional algorithms may only send CW" in batched
-        monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "1")
-        assert batched == message()
+        assert batched == message("full")
 
-    def test_uni_cap_errors_identical(self, monkeypatch):
+    def test_uni_cap_errors_identical(self):
         """The round-hoisted cap raises exactly like the deque loop's."""
 
         class _Forever(Processor):
@@ -300,19 +285,16 @@ class TestUnidirectionalBatch:
             def create_processor(self, letter, is_leader):
                 return _Forever(letter, is_leader)
 
-        def message():
+        def message(trace):
             from repro.errors import RingError
 
             with pytest.raises(RingError) as info:
                 run_unidirectional(
-                    _ForeverAlgo(), "aaaa", max_messages=10, trace="metrics"
+                    _ForeverAlgo(), "aaaa", max_messages=10, trace=trace
                 )
             return str(info.value)
 
-        batched = message()
-        monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "1")
-        assert batched == message()
-        monkeypatch.delenv("REPRO_NO_ROUND_BATCH")
+        assert message("metrics") == message("full")
 
         # Quiescing at exactly the cap raises on neither path.
         class _Once(Processor):
@@ -336,6 +318,8 @@ class TestUnidirectionalBatch:
             _OnceAlgo(), "aa", max_messages=1, trace="metrics"
         )
         assert stats.message_count == 1
+        full = run_unidirectional(_OnceAlgo(), "aa", max_messages=1)
+        assert full.stats().message_count == 1
 
     def test_uni_batch_path_never_builds_the_deque(self, monkeypatch):
         """Poisoned deque: an engaged metrics run returns before the
@@ -351,13 +335,9 @@ class TestUnidirectionalBatch:
         monkeypatch.setattr(module, "deque", _Poisoned)
         stats, _ = _run_chaos_uni(7, 9, "metrics")
         assert stats.decision is True
-        # Full traces still need the deque loop...
+        # Full traces still need the deque loop.
         with pytest.raises(AssertionError, match="built the oracle"):
             _run_chaos_uni(7, 9, "full")
-        # ...and the kill switch forces metrics back onto it too.
-        monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "1")
-        with pytest.raises(AssertionError, match="built the oracle"):
-            _run_chaos_uni(7, 9, "metrics")
 
 
 class TestEngagementRules:
@@ -369,14 +349,6 @@ class TestEngagementRules:
         assert not AdversarialScheduler.round_batchable
         # The bench/oracle idiom: head-only without batchability.
         assert _HeapFifo.head_only and not _HeapFifo.round_batchable
-
-    def test_kill_switch_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_ROUND_BATCH", raising=False)
-        assert round_batching_enabled()
-        monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "1")
-        assert not round_batching_enabled()
-        monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "")
-        assert round_batching_enabled()
 
     @pytest.mark.parametrize("substrate", ["bidi", "line"])
     def test_batch_path_never_consults_the_oracle(
@@ -393,13 +365,13 @@ class TestEngagementRules:
         if substrate == "bidi":
             import repro.ring.bidirectional as module
 
-            def run(trace):
-                return _run_chaos_bidi(7, 9, FifoScheduler(), trace)[0]
+            def run(trace, scheduler=FifoScheduler):
+                return _run_chaos_bidi(7, 9, scheduler(), trace)[0]
         else:
             import repro.ring.line as module
 
-            def run(trace):
-                return _run_chaos_line(7, 9, FifoScheduler(), trace)[0]
+            def run(trace, scheduler=FifoScheduler):
+                return _run_chaos_line(7, 9, scheduler(), trace)[0]
 
         monkeypatch.setattr(module, "LinkQueues", _Poisoned)
         # metrics + FifoScheduler: the batch engine carries the run.
@@ -408,12 +380,11 @@ class TestEngagementRules:
         # Full traces still need the oracle...
         with pytest.raises(AssertionError, match="consulted the heap"):
             run("full")
-        # ...and the kill switch forces metrics back onto it too.
-        monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "1")
+        # ...and so does a FIFO scheduler that declines batching.
         with pytest.raises(AssertionError, match="consulted the heap"):
-            run("metrics")
+            run("metrics", _HeapFifo)
 
-    def test_line_off_end_errors_identical(self, monkeypatch):
+    def test_line_off_end_errors_identical(self):
         """The batch enqueue validator matches the heap's, word for word."""
 
         class _Bad(Processor):
@@ -432,16 +403,17 @@ class TestEngagementRules:
             def create_processor(self, letter, is_leader):
                 return _Bad(letter, is_leader)
 
-        def message(trace):
+        def message(trace, scheduler=FifoScheduler):
             with pytest.raises(ProtocolError) as info:
-                LineNetwork(_BadAlgo(), "aa").run(trace=trace)
+                LineNetwork(_BadAlgo(), "aa", scheduler=scheduler()).run(
+                    trace=trace
+                )
             return str(info.value)
 
         batched = message("metrics")
-        monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "1")
-        assert batched == message("metrics")
+        assert batched == message("metrics", _HeapFifo) == message("full")
 
-    def test_message_cap_errors_identical(self, monkeypatch):
+    def test_message_cap_errors_identical(self):
         """The round-hoisted cap check raises exactly like the heap's."""
 
         class _Forever(Processor):
@@ -461,19 +433,21 @@ class TestEngagementRules:
             def create_processor(self, letter, is_leader):
                 return _Forever(letter, is_leader)
 
-        def message(trace):
+        def message(trace, scheduler=FifoScheduler):
             from repro.errors import RingError
 
             with pytest.raises(RingError) as info:
                 run_bidirectional(
-                    _ForeverAlgo(), "aaaa", max_messages=10, trace=trace
+                    _ForeverAlgo(),
+                    "aaaa",
+                    scheduler=scheduler(),
+                    max_messages=10,
+                    trace=trace,
                 )
             return str(info.value)
 
         batched = message("metrics")
-        monkeypatch.setenv("REPRO_NO_ROUND_BATCH", "1")
-        assert batched == message("metrics")
-        monkeypatch.delenv("REPRO_NO_ROUND_BATCH")
+        assert batched == message("metrics", _HeapFifo) == message("full")
         # A run that quiesces at exactly the cap does NOT raise, on
         # either engine (the boundary the hoisted check must respect).
         class _Once(Processor):
@@ -493,10 +467,15 @@ class TestEngagementRules:
             def create_processor(self, letter, is_leader):
                 return _Once(letter, is_leader)
 
-        stats = run_bidirectional(
-            _OnceAlgo(), "aa", max_messages=1, trace="metrics"
-        )
-        assert stats.message_count == 1
+        for scheduler in (FifoScheduler(), _HeapFifo()):
+            stats = run_bidirectional(
+                _OnceAlgo(),
+                "aa",
+                scheduler=scheduler,
+                max_messages=1,
+                trace="metrics",
+            )
+            assert stats.message_count == 1
 
 
 class TestIncrementalSortedView:

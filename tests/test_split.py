@@ -3,10 +3,12 @@
 The contract under test is an *identity*, not an approximation: for
 every divisible cell, ``fold(run every subtask) == run the monolithic
 measurement`` byte-for-byte, invariant to the part count K, the
-scheduling order, the worker count, and the ``REPRO_NO_SPLIT=1`` kill
-switch.  The tests exercise the contract at three levels — the pure
+scheduling order and the worker count.  A campaign splits every
+divisible cell; :func:`run_cell` is the monolithic oracle.  The tests
+exercise the contract at three levels — the pure
 ``run_subtask``/``fold_cell`` functions, a synthetic experiment whose K
-is a parameter, and whole campaigns through the executor pool — plus
+is a parameter, and whole campaigns through the executor pool (against
+a store filled cell by cell with ``run_cell``) — plus
 the mid-cell resume path (a killed run's ``.json.part`` records
 complete without re-measuring landed parts) and the BFS early-stop that
 makes E2's witness subtasks cheap.
@@ -15,9 +17,7 @@ makes E2's witness subtasks cheap.
 from __future__ import annotations
 
 import json
-import os
 import random
-from contextlib import contextmanager
 
 import pytest
 
@@ -36,7 +36,6 @@ from repro.experiments.base import (
     fold_cell,
     run_cell,
     run_subtask,
-    splitting_enabled,
     subtask_seed,
 )
 from repro.experiments.e02_message_graph import CountingTransducer
@@ -46,20 +45,6 @@ QUICK = RunProfile(preset="quick")
 # The experiments that ship divisible cells (E2's witness, every E9/E10
 # simulation cell).
 DIVISIBLE_EXPS = ("E2", "E9", "E10")
-
-
-@contextmanager
-def _no_split():
-    """Force the monolithic oracle path (REPRO_NO_SPLIT=1)."""
-    prior = os.environ.get("REPRO_NO_SPLIT")
-    os.environ["REPRO_NO_SPLIT"] = "1"
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_NO_SPLIT", None)
-        else:
-            os.environ["REPRO_NO_SPLIT"] = prior
 
 
 def _divisible_cells(exp_id: str, profile: RunProfile) -> list:
@@ -89,20 +74,6 @@ class TestFoldIdentity:
         forward = {s.part: run_subtask(s) for s in subtasks}
         backward = {s.part: run_subtask(s) for s in reversed(subtasks)}
         assert fold_cell(cell, forward) == fold_cell(cell, backward)
-
-    @pytest.mark.parametrize("exp_id", DIVISIBLE_EXPS)
-    def test_config_hash_ignores_kill_switch(self, exp_id):
-        """REPRO_NO_SPLIT must not fork cell identity: both paths share
-        store records, so the hash has to agree."""
-        with_split = {
-            c.key: c.config_hash() for c in _divisible_cells(exp_id, QUICK)
-        }
-        with _no_split():
-            without = {
-                c.key: c.config_hash()
-                for c in _divisible_cells(exp_id, QUICK)
-            }
-        assert with_split == without
 
     def test_subtask_weights_sum_to_cell_weight(self):
         for exp_id in DIVISIBLE_EXPS:
@@ -236,17 +207,11 @@ class TestValidation:
         with pytest.raises(ReproError):
             cell.subtasks()
 
-    def test_kill_switch_toggles_splitting_enabled(self):
-        assert splitting_enabled()
-        with _no_split():
-            assert not splitting_enabled()
-        assert splitting_enabled()
-
 
 # --------------------------------------------------------------------------
-# Campaign byte-identity: divided and undivided runs produce the same
-# tables and the same store records (file names included — shared
-# config hash), at every worker count.
+# Campaign byte-identity: a divided campaign and the monolithic oracle
+# (run_cell per cell) produce the same tables and the same store records
+# (file names included — shared config hash), at every worker count.
 
 
 def _store_snapshot(root) -> dict:
@@ -260,6 +225,21 @@ def _store_snapshot(root) -> dict:
     return out
 
 
+def _monolithic_store(root, exp_ids) -> dict:
+    """Fill a store through the oracle: ``run_cell`` on every cell, whole,
+    saved with seconds zeroed.  Returns each experiment's finalized result."""
+    store = RunStore(root)
+    results = {}
+    for exp_id in exp_ids:
+        spec = get_spec(exp_id)
+        records = {}
+        for cell in spec.cells(QUICK):
+            records[cell.key] = run_cell(cell)
+            store.save(cell, QUICK, records[cell.key], 0.0)
+        results[exp_id] = spec.finalize(QUICK, records)
+    return results
+
+
 class TestCampaignByteIdentity:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_divided_equals_undivided(self, jobs, tmp_path):
@@ -270,15 +250,11 @@ class TestCampaignByteIdentity:
         )
         assert divided.subtasks_run > 0
         assert divided.cells_folded > 0
-        with _no_split():
-            mono_store = RunStore(tmp_path / "mono")
-            mono = execute_campaign(specs, QUICK, jobs=jobs, store=mono_store)
-        assert mono.subtasks_run == 0
-        assert mono.cells_folded == 0
+        mono = _monolithic_store(tmp_path / "mono", DIVISIBLE_EXPS)
 
         for exp_id in DIVISIBLE_EXPS:
             left = divided.executions[exp_id].result
-            right = mono.executions[exp_id].result
+            right = mono[exp_id]
             assert left.rows == right.rows, exp_id
             assert left.conclusions == right.conclusions, exp_id
             assert left.passed == right.passed, exp_id
@@ -338,9 +314,7 @@ class TestPartialResume:
 
         # The resumed record equals a from-scratch monolithic run.
         stored = store.load(cell, QUICK)
-        with _no_split():
-            oracle = run_cell(cell)
-        assert stored.record == oracle
+        assert stored.record == run_cell(cell)
 
     def test_stale_part_records_are_ignored(self, tmp_path):
         """A part whose embedded hash mismatches the current cell is
