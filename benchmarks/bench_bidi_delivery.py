@@ -1,17 +1,16 @@
-"""Benchmarks for the bidirectional delivery loop: batch vs heap vs sort.
+"""Benchmarks for the bidirectional delivery engines: sweep vs chooser.
 
-Three cost tiers share one delivery semantics (see
+The scheduler alone picks one of two engines (see
 ``repro/ring/delivery.py``):
 
-* **round-batched engine** — the default FIFO scheduler with
-  ``trace="metrics"``: whole rounds swept over packed lists, no heap,
-  no per-delivery scheduling;
-* **age-ordered heap** — ``head_only`` schedulers needing per-delivery
-  dispatch (``_BatchOff`` below forces it, and it serves as the
-  bit-for-bit oracle): O(log q) per delivery for q active queues;
-* **incremental sorted view** — schedulers that inspect the whole
-  candidate list (``_SortedFifo``): O(log q) bisect maintenance per
-  delivery, replacing the old O(q log q) full re-sort.
+* **round-batched sweep** — the default FIFO scheduler, on either trace
+  policy: whole rounds swept over packed lists, no per-delivery
+  scheduling; ``trace="full"`` records through a processor wrapper;
+* **chooser loop** — every scheduler that is not ``round_batchable``
+  (``_BatchOff`` below: FIFO order, batching declined — the sweep's
+  bit-for-bit oracle): one ``choose`` call per delivery over the
+  incrementally sorted candidate view, O(log q) bisect maintenance per
+  delivery for q active queues.
 
 Every timed path first asserts identical accounting (bits, message
 count, peak in-flight) against the others — same delivery order by
@@ -20,7 +19,7 @@ construction.  Run with ``pytest benchmarks/bench_bidi_delivery.py``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.bits import Bits
 from repro.ring.bidirectional import run_bidirectional
@@ -29,21 +28,12 @@ from repro.ring.processor import Processor, RingAlgorithm
 from repro.ring.schedulers import FifoScheduler, Scheduler
 
 
-class _SortedFifo(Scheduler):
-    """FIFO delivery order via the sorted-candidates path."""
-
-    head_only = False
-
-    def choose(self, candidates: Sequence[object]) -> int:
-        return 0
-
-
 class _BatchOff(FifoScheduler):
-    """FIFO delivery order via the heap path (round batching declined).
+    """FIFO delivery order via the chooser loop (round batching declined).
 
     Same order as :class:`FifoScheduler`; leaving ``round_batchable``
-    False keeps metrics-mode runs on the age-ordered heap, which is how
-    the benchmarks time the heap oracle the batch engine is diffed
+    False puts every run on the chooser loop's sorted candidate view,
+    which is how the benchmarks time the oracle the sweep is diffed
     against.
     """
 
@@ -96,9 +86,10 @@ class EchoFlood(RingAlgorithm):
     (global-FIFO) delivery the live messages sit at *distinct* ring
     positions and never merge into one frontier queue: the concurrently
     active queue count q grows with the ring instead of staying O(1) —
-    the regime where per-delivery sorting costs O(q log q) while the
-    heap pays O(log q) and the batch engine pays O(1).  Total
-    deliveries are ~n^2/2.
+    the regime where a full per-delivery re-sort would cost O(q log q)
+    while the incrementally sorted view pays O(log q) search plus one
+    O(q) shift and the batch engine pays O(1).  Total deliveries are
+    ~n^2/2.
     """
 
     name = "echo-flood"
@@ -118,42 +109,33 @@ class EchoFlood(RingAlgorithm):
 
 
 _N = 256
-_N_LARGE = 1024  # the acceptance size for the batch-vs-heap speedup
+_N_LARGE = 1024  # the size of the historical batch-engine acceptance row
 
 
-def _run(scheduler: Scheduler, n: int = _N):
+def _run(scheduler: Scheduler, n: int = _N, trace: str = "metrics"):
     word = "a" * n
     return run_bidirectional(
-        EchoFlood(), word, scheduler=scheduler, trace="metrics"
+        EchoFlood(), word, scheduler=scheduler, trace=trace
     )
 
 
 def _assert_engines_agree(n: int) -> None:
-    """Batch, heap, and sorted paths: identical accounting at size n."""
+    """Sweep and chooser loop: identical accounting at size n."""
     batch = _run(FifoScheduler(), n)
-    heap = _run(_BatchOff(), n)
-    sort = _run(_SortedFifo(), n)
-    for other in (heap, sort):
-        assert batch.total_bits == other.total_bits
-        assert batch.message_count == other.message_count
-        assert batch.link_bits == other.link_bits
-        assert batch.sent_counts == other.sent_counts
-        assert batch.pass_bits == other.pass_bits
-        assert batch.max_in_flight == other.max_in_flight
-        assert batch.decision == other.decision
+    sort = _run(_BatchOff(), n)
+    assert batch.total_bits == sort.total_bits
+    assert batch.message_count == sort.message_count
+    assert batch.link_bits == sort.link_bits
+    assert batch.sent_counts == sort.sent_counts
+    assert batch.pass_bits == sort.pass_bits
+    assert batch.max_in_flight == sort.max_in_flight
+    assert batch.decision == sort.decision
 
 
 def bench_flood_batch_engine(benchmark):
     """n=1024 echo flood on the round-batched engine (the acceptance case)."""
     _assert_engines_agree(_N)
     result = benchmark(_run, FifoScheduler(), _N_LARGE)
-    assert result.decision is True
-    assert result.max_in_flight >= _N_LARGE // 2
-
-
-def bench_flood_heap_path(benchmark):
-    """n=1024 flood on the age-ordered heap oracle (O(log q) per delivery)."""
-    result = benchmark(_run, _BatchOff(), _N_LARGE)
     assert result.decision is True
     assert result.max_in_flight >= _N_LARGE // 2
 
@@ -165,21 +147,23 @@ def bench_flood_batch_small(benchmark):
     assert result.max_in_flight >= _N // 2
 
 
-def bench_flood_heap_small(benchmark):
-    """n=256 flood on the heap oracle."""
-    result = benchmark(_run, _BatchOff())
+def bench_flood_full_trace(benchmark):
+    """n=256 flood, ``trace="full"`` on the batch engine (recording sink)."""
+    metrics = _run(FifoScheduler())
+    result = benchmark(_run, FifoScheduler(), _N, "full")
     assert result.decision is True
-    assert result.max_in_flight >= _N // 2
+    assert result.stats().total_bits == metrics.total_bits
+    assert result.max_in_flight == metrics.max_in_flight
 
 
 def bench_flood_sorted_path(benchmark):
-    """Same flood, same order, incremental sorted view (regression case).
+    """Same flood, same order, chooser loop's sorted view (regression case).
 
     Before PR 8 this path re-sorted every active queue per delivery
     (O(q log q)); it now bisect-maintains the view, so its gap to the
-    heap bench above is the regression being watched.
+    batch bench above is the regression being watched.
     """
-    result = benchmark(_run, _SortedFifo())
+    result = benchmark(_run, _BatchOff())
     assert result.decision is True
     assert result.max_in_flight >= _N // 2
 

@@ -1,199 +1,299 @@
-"""Pending-delivery machinery for the asynchronous simulators.
+"""Delivery engines for the asynchronous simulators.
 
-The bidirectional ring and the line network both keep one FIFO queue per
-``(sender, direction)`` link port and, before every delivery, present the
-*active* (non-empty) queues to a scheduler in age order of their head
-messages.  This module owns that machinery, at three cost tiers:
+The unidirectional ring, the bidirectional ring and the line network all
+hand their processors to :func:`execute`.  The scheduler alone picks the
+engine; the trace policy picks only the sink.  There are two engines:
 
-* **Round-batched engine** (:func:`run_round_batched`) — when the
-  scheduler is ``round_batchable`` (pure global-FIFO, never needs its
-  ``choose`` consulted — true of the default :class:`FifoScheduler`) and
-  the run streams ``trace="metrics"``, the simulator skips per-delivery
-  scheduling altogether.  Under global FIFO the delivery order *is* the
-  enqueue-stamp order: each queue is FIFO, so every queue head is its
-  queue's minimum stamp, and the globally oldest head is the globally
-  oldest in-flight message.  The protocols are therefore round-structured
-  — every message enqueued before a round boundary is delivered before
-  any message it causes — and the engine sweeps whole rounds at a time
-  over packed parallel lists (an int code ``sender<<1 | is_cw`` next to
-  the payload), folding the :class:`~repro.ring.trace.TraceStats`
-  counters into flat local tables and writing them back once at
-  quiescence.  No heap, no per-queue dict hashing, no ``Scheduler.choose``
-  call, no per-message method dispatch: one tight loop per round.  The
-  engine picks itself: a run batches if and only if its scheduler is
-  ``round_batchable`` and it streams ``trace="metrics"`` — there is no
-  switch.  The accounting is bit-for-bit identical to the heap path
-  below, which stays the oracle: a ``trace="full"`` run (whose
-  ``ExecutionTrace.stats()`` must equal the batched counters) or a FIFO
-  scheduler that declines batching reaches it
-  (``tests/test_delivery_batch.py`` pins the equivalence).
-  The unidirectional ring rides the same engine (``uni=True``): it has
-  no scheduler at all — its global FIFO deque *is* the engine's
-  delivery order — so its metrics-mode runs sweep rounds too, with the
-  CCW-send model violation raised at enqueue time in that simulator's
-  exact wording.
-* **Heap path** — when the scheduler only ever consumes the oldest head
-  (``Scheduler.head_only``) but the run needs full traces (or the
-  scheduler declines batching), the active queues live in a min-heap keyed by
-  head enqueue stamp: each delivery peeks/pops the top and pushes the
-  queue's next head — O(log q) for q concurrently active queues; see
-  ``benchmarks/bench_bidi_delivery.py`` and PERFORMANCE.md.
-* **Sorted path** — schedulers that inspect the full candidate list
-  (random, LIFO, adversarial) get the age-sorted active list.  It is
-  maintained *incrementally*: a push to an idle queue appends the
-  newest stamp (monotonic, so always the tail), and a pop bisects the
-  retired head out and bisect-inserts the successor head — O(log q)
-  search plus one O(q) list shift per delivery, instead of rebuilding
-  and sorting every active queue (O(q log q)) per delivery.
+* **Round-batched sweep** (:func:`run_round_batched`) — for a
+  ``round_batchable`` scheduler (pure global-FIFO, never needs its
+  ``choose`` consulted — true of the default :class:`FifoScheduler`)
+  and for the unidirectional ring, which has no scheduler: its unique
+  execution is global FIFO by definition.  Under global FIFO the
+  delivery order *is* the enqueue-stamp order: each link queue is FIFO,
+  so every queue head is its queue's minimum stamp, and the globally
+  oldest head is the globally oldest in-flight message.  The protocols
+  are therefore round-structured — every message enqueued before a
+  round boundary is delivered before any message it causes — and the
+  engine sweeps whole rounds at a time over packed parallel lists (an
+  int code ``sender << 1 | is_cw`` next to the payload), folding the
+  :class:`~repro.ring.trace.TraceStats` counters into flat local tables
+  written back once at quiescence.  No per-queue dict hashing, no
+  ``Scheduler.choose`` call, no per-message method dispatch: one tight
+  loop per round.
+* **Chooser loop** (:func:`run_chooser`) — every other scheduler
+  (random, LIFO, adversarial, or a FIFO that declines batching) is
+  asked once per delivery to pick among the age-sorted active queues of
+  :class:`LinkQueues`.  The sorted view is maintained *incrementally*:
+  a push to an idle queue appends the newest stamp (monotonic, so
+  always the tail), and a pop bisects the retired head out and
+  bisect-inserts the successor head — O(log q) search plus one O(q)
+  list shift per delivery for q active queues, instead of re-sorting
+  every active queue (O(q log q)) per delivery.
 
-Delivery order is identical on all paths: enqueue stamps are unique, so
-"heap minimum", "first element of the sorted candidate list", and "next
-message of the current round sweep" all name the same message.
+Both engines run on one topology table (:class:`_Links`), validate
+sends the same way — raising each simulator's exact model-violation
+wording at enqueue time — and stream into :class:`TraceStats`.
+``trace="full"`` wraps every processor in a recording layer
+(:class:`_Recorder`) that appends the :class:`MessageEvent` list and the
+local logs as the engine delivers, and takes ``max_in_flight`` from the
+counters; the engine never knows.
+
+Delivery order is identical on both engines under a global-FIFO
+scheduler: enqueue stamps are unique, so "first element of the sorted
+candidate list" and "next message of the current round sweep" name the
+same message.  A FIFO scheduler that declines batching therefore runs
+the chooser loop as the sweep's oracle (``tests/test_delivery_batch.py``
+pins the equivalence, whole traces included).
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, insort
 from collections import deque
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
 from repro.bits import Bits
 from repro.errors import ProtocolError, RingError
 from repro.ring.messages import Direction, Send
+from repro.ring.trace import (
+    ExecutionTrace,
+    MessageEvent,
+    TracePolicy,
+    TraceStats,
+    validate_trace_policy,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ring.processor import Processor
-    from repro.ring.trace import TraceStats
+    from repro.ring.schedulers import Scheduler
 
-__all__ = ["LinkQueues", "run_round_batched"]
+__all__ = ["LinkQueues", "execute", "run_chooser", "run_round_batched"]
+
+
+def execute(
+    processors: "Sequence[Processor]",
+    word: str,
+    leader: int,
+    scheduler: "Scheduler | None",
+    max_messages: int,
+    trace: TracePolicy,
+    name: str,
+    line: bool = False,
+    uni: bool = False,
+) -> ExecutionTrace | TraceStats:
+    """Run ``processors`` to quiescence; return the trace or its counters.
+
+    ``scheduler=None`` (the unidirectional ring) or a ``round_batchable``
+    scheduler takes the round-batched sweep, any other scheduler the
+    chooser loop.  ``trace="full"`` records through :class:`_Recorder`
+    on whichever engine runs.  ``line``/``uni`` select the topology as
+    in :func:`run_round_batched`.  An execution that quiesces without a
+    leader decision raises :class:`ProtocolError` (``name`` is the
+    algorithm's, for the message).
+    """
+    validate_trace_policy(trace)
+    n = len(word)
+    stats = TraceStats(word, leader)
+    engine_processors = processors
+    if trace == "full":
+        record = ExecutionTrace(
+            word=word, leader=leader, local_logs=[[] for _ in range(n)]
+        )
+        engine_processors = [
+            _Recorder(processor, index, n, record)
+            for index, processor in enumerate(processors)
+        ]
+    if scheduler is None or scheduler.round_batchable:
+        run_round_batched(
+            engine_processors, n, leader, stats, max_messages, line, uni
+        )
+    else:
+        run_chooser(
+            engine_processors, n, leader, stats, max_messages, scheduler, line
+        )
+    decision = processors[leader].decision
+    if decision is None:
+        raise ProtocolError(
+            f"{'line execution' if line else 'execution'} of {name!r} on "
+            f"{word!r} quiesced without a leader decision"
+        )
+    if trace == "metrics":
+        stats.decision = decision
+        return stats
+    record.max_in_flight = stats.max_in_flight
+    record.decision = decision
+    return record
+
+
+class _Links:
+    """One topology's per-code tables, shared by both engines.
+
+    A message is the int code ``sender << 1 | is_cw``; flat lists indexed
+    by it replace dict hashing, modulo and direction branches in the
+    delivery loops.  ``cw_code[s]`` / ``ccw_code[s]`` give the code of a
+    send out of ``p_s``'s CW / CCW port, or -1 where the model forbids
+    it: off either end of a line, and CCW anywhere on the unidirectional
+    ring.  Forbidden codes are never enqueued, so their (wrapped) table
+    entries are never read.
+    """
+
+    __slots__ = (
+        "n",
+        "line",
+        "uni",
+        "cw_code",
+        "ccw_code",
+        "handler_of",
+        "receiver_of",
+        "arrived_of",
+    )
+
+    def __init__(
+        self, processors: "Sequence[Processor]", n: int, line: bool, uni: bool
+    ) -> None:
+        self.n = n
+        self.line = line
+        self.uni = uni
+        self.cw_code = list(range(1, 2 * n, 2))
+        self.ccw_code = [-1] * n if uni else list(range(0, 2 * n, 2))
+        if line:
+            self.cw_code[n - 1] = -1
+            self.ccw_code[0] = -1
+        # Code 2s (CCW out of p_s) reaches p_{s-1} on its CW port; code
+        # 2s+1 (CW out of p_s) reaches p_{s+1} on its CCW port.  Built by
+        # slicing: these tables are O(n) per run, and a run can be O(n)
+        # deliveries.
+        nodes = list(range(n))
+        handlers = [processor.on_receive for processor in processors]
+        self.receiver_of = [0] * (2 * n)
+        self.receiver_of[0::2] = nodes[-1:] + nodes[:-1]
+        self.receiver_of[1::2] = nodes[1:] + nodes[:1]
+        self.handler_of: list = [None] * (2 * n)
+        self.handler_of[0::2] = handlers[-1:] + handlers[:-1]
+        self.handler_of[1::2] = handlers[1:] + handlers[:1]
+        self.arrived_of = [Direction.CW, Direction.CCW] * n
+
+    def encode(self, sender: int, sends: Iterable[Send]) -> Iterator[tuple]:
+        """Validate one handler's sends, yielding ``(code, bits)`` each."""
+        cw_out = self.cw_code[sender]
+        ccw_out = self.ccw_code[sender]
+        for send in sends:
+            if not isinstance(send, Send):
+                raise self.reject(sender, send)
+            direction, bits = send
+            code = cw_out if direction is Direction.CW else ccw_out
+            if code < 0:
+                raise self.reject(sender, send)
+            yield code, (bits if type(bits) is Bits else Bits(bits))
+
+    def reject(self, sender: int, send: object) -> ProtocolError:
+        """The model violation of a refused send, in its simulator's words."""
+        if not isinstance(send, Send):
+            return ProtocolError(f"handlers must yield Send, got {send!r}")
+        if self.uni:
+            return ProtocolError(
+                "unidirectional algorithms may only send CW "
+                f"(p_{sender} tried {send.direction})"
+            )
+        return ProtocolError(
+            f"p_{sender} sent {send.direction} off the end of the line"
+        )
+
+    def cap_error(self, max_messages: int) -> RingError:
+        """The error of a run that would deliver over ``max_messages``."""
+        if self.line:
+            return RingError(
+                f"exceeded {max_messages} messages on a line of {self.n}"
+            )
+        return RingError(
+            f"exceeded {max_messages} messages on n={self.n}; "
+            "algorithm appears to diverge"
+        )
+
+    def write_back(
+        self,
+        record: TraceStats,
+        bits_by_code: list[int],
+        sent_by_code: list[int],
+        pass_bits: list[int],
+        delivered: int,
+        peak: int,
+    ) -> None:
+        """Fold per-code counters into ``record``'s per-node/per-link shape.
+
+        Link ``s`` joins ``p_s`` and ``p_{s+1}``: CW out of ``p_s`` (code
+        2s+1) and CCW out of ``p_{s+1}`` (code 2s+2, wrapping) cross it.
+        Forbidden codes never delivered, so they add zero.
+        """
+        ccw_bits = bits_by_code[0::2]
+        record.total_bits = sum(bits_by_code)
+        record.message_count = delivered
+        record.link_bits = [
+            cw + ccw
+            for cw, ccw in zip(bits_by_code[1::2], ccw_bits[1:] + ccw_bits[:1])
+        ]
+        record.sent_counts = [
+            cw + ccw for ccw, cw in zip(sent_by_code[0::2], sent_by_code[1::2])
+        ]
+        record.pass_bits = pass_bits
+        record.max_in_flight = peak
 
 
 def run_round_batched(
     processors: "Sequence[Processor]",
     n: int,
     leader: int,
-    record: "TraceStats",
+    record: TraceStats,
     max_messages: int,
     line: bool = False,
     uni: bool = False,
 ) -> None:
     """Execute to quiescence in round-batched sweeps (global-FIFO order).
 
-    Drives ``processors`` exactly like the simulators' heap loop under a
-    ``round_batchable`` scheduler, but delivers every message enqueued
-    before the current round boundary in one pass: the round's messages
-    live in two packed parallel lists (int code ``sender << 1 | is_cw``
-    and the ``Bits`` payload), responses accumulate into the next
+    Delivers every message enqueued before the current round boundary in
+    one pass: the round's messages live in two packed parallel lists
+    (int code and ``Bits`` payload), responses accumulate into the next
     round's lists, and the :class:`TraceStats` counters fold through
     flat local tables written back to ``record`` once at quiescence.
-    The caller still owns the decision check (and sets
-    ``record.decision``); ``record.max_in_flight`` is written here.
+    The caller owns the decision check.
 
-    ``line=True`` selects line topology: neighbor tables stop at the
-    ends and a send off either end raises :class:`ProtocolError` at
-    enqueue time, exactly like ``LineNetwork``'s ``enqueue`` validator.
-    ``uni=True`` selects the unidirectional model: the ring wraps, but
-    any CCW send raises :class:`ProtocolError` at enqueue time with
-    ``UnidirectionalRing``'s exact wording — that simulator's global
-    FIFO deque is already the engine's delivery order (each round's
-    messages precede everything they cause), so the sweep is a drop-in
-    for its metrics loop.
-    The message cap matches the heap loop's raise/no-raise decision: it
-    trips exactly when deliveries would exceed ``max_messages`` with
-    traffic still pending (checked per round — the cap can only be
-    crossed mid-round).
+    ``line=True`` selects line topology: a send off either end raises
+    :class:`ProtocolError` at enqueue time.  ``uni=True`` selects the
+    unidirectional model: the ring wraps, but any CCW send raises
+    :class:`ProtocolError` at enqueue time.
+    The message cap trips exactly when deliveries would exceed
+    ``max_messages`` with traffic still pending (checked per round —
+    the cap can only be crossed mid-round), the same raise/no-raise
+    decision as the chooser loop's per-delivery check.
     """
+    links = _Links(processors, n, line, uni)
     cw = Direction.CW
-    ccw = Direction.CCW
-    # Flat per-code lookup tables, indexed by the packed message code
-    # ``sender << 1 | is_cw`` — no dict hashing, no modulo, no branch on
-    # direction in the sweep.  On a line the off-the-end entries exist
-    # but are unreachable: sends toward an end are rejected at enqueue.
-    if line:
-        next_cw = list(range(1, n + 1))
-        next_ccw = list(range(-1, n - 1))
-        cw_forbidden = n - 1  # sending CW from the last node falls off
-        ccw_forbidden = 0  # sending CCW from node 0 falls off
-    else:
-        next_cw = list(range(1, n)) + [0]
-        next_ccw = [n - 1] + list(range(n - 1))
-        cw_forbidden = ccw_forbidden = -1  # no index matches: ring wraps
-    handler_of: list = [None] * (2 * n)  # receiver's bound on_receive
-    receiver_of = [0] * (2 * n)
-    arrived_of: list[Direction] = [cw] * (2 * n)
-    link_of = [0] * (2 * n)  # undirected link id charged by this code
-    for s in range(n):
-        even = s << 1  # CCW from s
-        odd = even | 1  # CW from s
-        r_ccw = next_ccw[s]
-        r_cw = next_cw[s]
-        if 0 <= r_ccw < n:
-            handler_of[even] = processors[r_ccw].on_receive
-            receiver_of[even] = r_ccw
-        link_of[even] = r_ccw  # CCW charges the receiver's link id
-        arrived_of[even] = cw
-        if 0 <= r_cw < n:
-            handler_of[odd] = processors[r_cw].on_receive
-            receiver_of[odd] = r_cw
-        link_of[odd] = s  # CW charges the sender's link id
-        arrived_of[odd] = ccw
+    cw_code = links.cw_code
+    ccw_code = links.ccw_code
+    handler_of = links.handler_of
+    receiver_of = links.receiver_of
+    arrived_of = links.arrived_of
 
-    # TraceStats counters, folded locally: per-code flat tables summed
-    # into the per-node/per-link shape once at write-back.
     bits_by_code = [0] * (2 * n)
     sent_by_code = [0] * (2 * n)
     pass_bits: list[int] = []
     delivered = 0
     pass_acc = 0
     in_pass = 0
-    in_flight = 0
-    peak = 0
 
-    # The current round, packed: codes[i] = sender << 1 | (1 if CW) next
-    # to its payload.  zip() reuses its result tuple in CPython, so the
-    # sweep below allocates nothing per message beyond the responses.
+    # The current round, packed: codes[i] next to its payload loads[i].
+    # zip() reuses its result tuple in CPython, so the sweep below
+    # allocates nothing per message beyond the responses.
     codes: list[int] = []
     loads: list[Bits] = []
-
-    # Seed round 0 from the leader's on_start, with the same validation
-    # and in-flight accounting as the per-message enqueue below.
-    for send in processors[leader].on_start():
-        if not isinstance(send, Send):
-            raise ProtocolError(f"handlers must yield Send, got {send!r}")
-        direction, bits = send
-        if direction is cw:
-            if leader == cw_forbidden:
-                raise ProtocolError(
-                    f"p_{leader} sent {direction} off the end of the line"
-                )
-            codes.append((leader << 1) | 1)
-        else:
-            if uni:
-                raise ProtocolError(
-                    "unidirectional algorithms may only send CW "
-                    f"(p_{leader} tried {direction})"
-                )
-            if leader == ccw_forbidden:
-                raise ProtocolError(
-                    f"p_{leader} sent {direction} off the end of the line"
-                )
-            codes.append(leader << 1)
-        loads.append(bits if type(bits) is Bits else Bits(bits))
-        in_flight += 1
-        if in_flight > peak:
-            peak = in_flight
+    for code, bits in links.encode(leader, processors[leader].on_start()):
+        codes.append(code)
+        loads.append(bits)
+    in_flight = peak = len(codes)
 
     while codes:
         if delivered + len(codes) > max_messages:
-            if line:
-                raise RingError(
-                    f"exceeded {max_messages} messages on a line of {n}"
-                )
-            raise RingError(
-                f"exceeded {max_messages} messages on n={n}; "
-                "algorithm appears to diverge"
-            )
+            raise links.cap_error(max_messages)
         next_codes: list[int] = []
         next_loads: list[Bits] = []
         append_code = next_codes.append
@@ -210,31 +310,18 @@ def run_round_batched(
                 pass_acc = 0
                 in_pass = 0
             receiver = receiver_of[code]
+            # _Links.encode, inlined: a generator per delivery would tax
+            # the hottest loop in the package.
             for send in handler_of[code](bits, arrived_of[code]):
                 if send.__class__ is not Send and not isinstance(send, Send):
-                    raise ProtocolError(
-                        f"handlers must yield Send, got {send!r}"
-                    )
+                    raise links.reject(receiver, send)
                 direction, sbits = send
-                if direction is cw:
-                    if receiver == cw_forbidden:
-                        raise ProtocolError(
-                            f"p_{receiver} sent {direction} off the end "
-                            "of the line"
-                        )
-                    append_code((receiver << 1) | 1)
-                else:
-                    if uni:
-                        raise ProtocolError(
-                            "unidirectional algorithms may only send CW "
-                            f"(p_{receiver} tried {direction})"
-                        )
-                    if receiver == ccw_forbidden:
-                        raise ProtocolError(
-                            f"p_{receiver} sent {direction} off the end "
-                            "of the line"
-                        )
-                    append_code(receiver << 1)
+                out = (
+                    cw_code[receiver] if direction is cw else ccw_code[receiver]
+                )
+                if out < 0:
+                    raise links.reject(receiver, send)
+                append_code(out)
                 append_load(sbits if type(sbits) is Bits else Bits(sbits))
                 in_flight += 1
                 if in_flight > peak:
@@ -245,50 +332,163 @@ def run_round_batched(
 
     if in_pass:
         pass_bits.append(pass_acc)
-    # Fold the per-code tables into TraceStats' per-node/per-link shape.
-    # Codes that never delivered (line off-the-end entries) have zero
-    # counts, so the fold never touches their (invalid) link ids.
-    link_bits = [0] * n
-    sent_counts = [0] * n
-    for code in range(2 * n):
-        count = sent_by_code[code]
-        if count:
-            sent_counts[code >> 1] += count
-            link_bits[link_of[code]] += bits_by_code[code]
-    record.total_bits = sum(bits_by_code)
-    record.message_count = delivered
-    record.link_bits = link_bits
-    record.sent_counts = sent_counts
-    record.pass_bits = pass_bits
-    record.max_in_flight = peak
+    links.write_back(
+        record, bits_by_code, sent_by_code, pass_bits, delivered, peak
+    )
+
+
+def run_chooser(
+    processors: "Sequence[Processor]",
+    n: int,
+    leader: int,
+    record: TraceStats,
+    max_messages: int,
+    scheduler: "Scheduler",
+    line: bool = False,
+) -> None:
+    """Execute to quiescence, asking ``scheduler`` before every delivery.
+
+    The candidates are the message codes (``sender << 1 | is_cw``) of
+    the active link queues, oldest head first; the scheduler returns the
+    index of the one to deliver.  Topology, send validation, the message
+    cap and the counters match :func:`run_round_batched`; the caller owns
+    the decision check.
+    """
+    links = _Links(processors, n, line, False)
+    handler_of = links.handler_of
+    receiver_of = links.receiver_of
+    arrived_of = links.arrived_of
+    encode = links.encode
+    pending = LinkQueues()
+    push = pending.push
+    choose = scheduler.choose
+
+    bits_by_code = [0] * (2 * n)
+    sent_by_code = [0] * (2 * n)
+    pass_bits: list[int] = []
+    delivered = 0
+
+    for code, bits in encode(leader, processors[leader].on_start()):
+        push(code, bits)
+    while True:
+        candidates = pending.next_candidates()
+        if candidates is None:
+            break
+        if delivered >= max_messages:
+            raise links.cap_error(max_messages)
+        chosen = choose(candidates)
+        if not 0 <= chosen < len(candidates):
+            raise RingError(
+                f"scheduler chose index {chosen} out of "
+                f"{len(candidates)} candidates"
+            )
+        code = candidates[chosen]
+        bits = pending.pop(code)
+        size = bits._length
+        bits_by_code[code] += size
+        sent_by_code[code] += 1
+        if delivered % n:
+            pass_bits[-1] += size
+        else:
+            pass_bits.append(size)
+        delivered += 1
+        sends = handler_of[code](bits, arrived_of[code])
+        for out, sbits in encode(receiver_of[code], sends):
+            push(out, sbits)
+
+    links.write_back(
+        record,
+        bits_by_code,
+        sent_by_code,
+        pass_bits,
+        delivered,
+        pending.peak_in_flight,
+    )
+
+
+class _Recorder:
+    """A processor whose deliveries and sends land in a full trace.
+
+    Wraps one processor for either engine: each delivery appends its
+    :class:`MessageEvent` (indexed in delivery order) and a
+    ``("received", port, bits)`` local-log entry before the handler runs,
+    and each send the handler yields appends ``("sent", port, bits)`` as
+    the engine takes it.  Sends that are not :class:`Send` pass through
+    unlogged for the engine to reject.
+    """
+
+    __slots__ = (
+        "_processor",
+        "_index",
+        "_from_ccw",
+        "_from_cw",
+        "_events",
+        "_log",
+    )
+
+    def __init__(
+        self, processor: "Processor", index: int, n: int, trace: ExecutionTrace
+    ) -> None:
+        self._processor = processor
+        self._index = index
+        # A message arriving on the CCW port travelled CW from p_{i-1}.
+        self._from_ccw = (index - 1) % n
+        self._from_cw = (index + 1) % n
+        self._events = trace.events
+        self._log = trace.local_logs[index]
+
+    def on_start(self) -> Iterator[Send]:
+        return self._logged(self._processor.on_start())
+
+    def on_receive(self, bits: Bits, arrived_from: Direction) -> Iterator[Send]:
+        events = self._events
+        # MessageEvent(index, sender, receiver, direction, bits)
+        if arrived_from is Direction.CCW:
+            events.append(
+                MessageEvent(
+                    len(events), self._from_ccw, self._index, Direction.CW, bits
+                )
+            )
+        else:
+            events.append(
+                MessageEvent(
+                    len(events), self._from_cw, self._index, Direction.CCW, bits
+                )
+            )
+        self._log.append(("received", arrived_from, bits))
+        return self._logged(self._processor.on_receive(bits, arrived_from))
+
+    def _logged(self, sends: Iterable[Send]) -> Iterator[Send]:
+        log = self._log
+        for send in sends:
+            if send.__class__ is Send or isinstance(send, Send):
+                direction, bits = send
+                if type(bits) is not Bits:
+                    send = Send(direction, Bits(bits))
+                log.append(("sent", direction, send.bits))
+            yield send
 
 
 class LinkQueues:
     """Per-link FIFO queues with an age-ordered view of the active set.
 
-    Keys are opaque hashable link identifiers (the simulators use
-    ``(sender, direction)``).  ``peak_in_flight`` tracks the maximum
-    number of undelivered messages, which the simulators record on their
-    traces at quiescence.
+    Keys are opaque hashable link identifiers (the chooser loop uses
+    message codes).  ``sorted_view`` holds ``(head_stamp, key)`` for
+    every non-empty queue, oldest head first.  ``peak_in_flight`` tracks
+    the maximum number of undelivered messages.
     """
 
     __slots__ = (
         "queues",
-        "active",
-        "heap",
         "sorted_view",
-        "use_heap",
         "stamp",
         "in_flight",
         "peak_in_flight",
     )
 
-    def __init__(self, use_heap: bool) -> None:
+    def __init__(self) -> None:
         self.queues: dict[Hashable, deque[tuple[int, Bits]]] = {}
-        self.active: set[Hashable] = set()
-        self.heap: list[tuple[int, Hashable]] = []
         self.sorted_view: list[tuple[int, Hashable]] = []
-        self.use_heap = use_heap
         self.stamp = 0
         self.in_flight = 0
         self.peak_in_flight = 0
@@ -299,47 +499,17 @@ class LinkQueues:
         if queue is None:
             queue = self.queues[key] = deque()
         if not queue:
-            self.active.add(key)
-            if self.use_heap:
-                heapq.heappush(self.heap, (self.stamp, key))
-            else:
-                # Stamps are monotonic, so a freshly woken queue's head is
-                # always the youngest in the view: append, never search.
-                self.sorted_view.append((self.stamp, key))
+            # Stamps are monotonic, so a freshly woken queue's head is
+            # always the youngest in the view: append, never search.
+            self.sorted_view.append((self.stamp, key))
         queue.append((self.stamp, bits))
         self.stamp += 1
         self.in_flight += 1
         if self.in_flight > self.peak_in_flight:
             self.peak_in_flight = self.in_flight
 
-    def oldest_key(self) -> Hashable | None:
-        """Heap path: the key holding the globally oldest head, or None.
-
-        Leaves that key's entry at the heap top for :meth:`pop` to
-        retire; the heap never holds stale entries (only :meth:`pop`
-        removes heads, and it re-pushes the successor immediately), so
-        the top is valid by construction.
-        """
-        return self.heap[0][1] if self.heap else None
-
-    def sorted_candidates(self) -> list[tuple[int, Hashable]]:
-        """Sorted path: every active queue as ``(head_stamp, key)``, by age.
-
-        A copy of the incrementally maintained view — callers may mutate
-        the returned list freely.
-        """
-        return list(self.sorted_view)
-
-    def next_candidates(self) -> "tuple | list | None":
-        """Candidate keys for the next delivery, or None at quiescence.
-
-        The single entry point both simulators present to their
-        scheduler: the lone heap head under ``use_heap`` (the chosen
-        index can only be 0), the full age-sorted key list otherwise.
-        """
-        if self.use_heap:
-            head = self.oldest_key()
-            return None if head is None else (head,)
+    def next_candidates(self) -> list | None:
+        """Active keys, oldest head first, or None at quiescence."""
         view = self.sorted_view
         return [key for _, key in view] if view else None
 
@@ -347,20 +517,12 @@ class LinkQueues:
         """Dequeue ``key``'s head message, maintaining the age order."""
         queue = self.queues[key]
         old_stamp, bits = queue.popleft()
-        if self.use_heap:
-            # oldest_key() left this key's entry at the top.
-            heapq.heappop(self.heap)
-            if queue:
-                heapq.heappush(self.heap, (queue[0][0], key))
-        else:
-            # Retire this key's head entry (stamps are unique, so the
-            # one-element probe finds it without comparing keys) and
-            # bisect-insert the successor head.
-            view = self.sorted_view
-            del view[bisect_left(view, (old_stamp,))]
-            if queue:
-                insort(view, (queue[0][0], key))
-        if not queue:
-            self.active.discard(key)
+        # Retire this key's head entry (stamps are unique, so the
+        # one-element probe finds it without comparing keys) and
+        # bisect-insert the successor head.
+        view = self.sorted_view
+        del view[bisect_left(view, (old_stamp,))]
+        if queue:
+            insort(view, (queue[0][0], key))
         self.in_flight -= 1
         return bits

@@ -20,18 +20,16 @@ as the ring simulators; sends off either end are protocol errors.
 
 Scheduling model and complexity
 -------------------------------
-:class:`LineNetwork` delivers from per-``(sender, direction)`` FIFO
-queues (:class:`~repro.ring.delivery.LinkQueues`): under a ``head_only``
-scheduler (the default FIFO) the active queues form an age-ordered heap,
-O(log q) per delivery for q active queues; other schedulers see the full
-candidate list, sorted by enqueue stamp and maintained incrementally
-(q <= 2n, and O(1) for the sequential algorithms the compiler
-produces).  Under a ``round_batchable`` scheduler with
-``trace="metrics"`` the loop is replaced wholesale by
-:func:`~repro.ring.delivery.run_round_batched` — same delivery order
-and accounting, whole rounds per sweep, no heap and no per-delivery
-scheduling.  The run batches if and only if both hold; a full trace,
-or a FIFO scheduler that declines batching, takes the heap oracle.
+:class:`LineNetwork` runs on the same two engines as the bidirectional
+ring, picked by the scheduler alone (:func:`~repro.ring.delivery.execute`):
+a ``round_batchable`` scheduler (the default FIFO) takes the
+round-batched sweep (:func:`~repro.ring.delivery.run_round_batched`,
+whole rounds per sweep, no per-delivery scheduling); any other takes
+the chooser loop (:func:`~repro.ring.delivery.run_chooser`) over
+per-``(sender, direction)`` FIFO queues whose candidate list is sorted
+by enqueue stamp and maintained incrementally (q <= 2n, and O(1) for the
+sequential algorithms the compiler produces).  Both engines reject a
+send off either end at enqueue time.
 
 Trace modes: ``LineNetwork.run(trace="full" | "metrics")`` mirrors the
 ring simulators (full :class:`~repro.ring.trace.ExecutionTrace` vs
@@ -50,9 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bits import Bits
-from repro.errors import ProtocolError, RingError
-from repro.ring.delivery import LinkQueues, run_round_batched
-from repro.ring.messages import Direction, Send
+from repro.errors import RingError
+from repro.ring.delivery import execute
+from repro.ring.messages import Direction
 from repro.ring.processor import Processor, RingAlgorithm
 from repro.ring.schedulers import FifoScheduler, Scheduler
 from repro.ring.trace import (
@@ -350,103 +348,13 @@ class LineNetwork:
         ``trace="metrics"`` streams counters into :class:`TraceStats`
         instead of materializing events and local logs.
         """
-        validate_trace_policy(trace)
-        n = len(self.word)
-        full = trace == "full"
-        record: ExecutionTrace | TraceStats
-        if full:
-            record = ExecutionTrace(
-                word=self.word,
-                leader=self.leader,
-                local_logs=[[] for _ in range(n)],
-            )
-        else:
-            record = TraceStats(self.word, leader=self.leader)
-            if self.scheduler.round_batchable:
-                # Pure global-FIFO + streaming counters: round-batched
-                # engine (identical order/accounting, no heap, no
-                # per-delivery scheduling); line topology rejects sends
-                # off either end at enqueue time, as below.
-                run_round_batched(
-                    self.processors,
-                    n,
-                    self.leader,
-                    record,
-                    max_messages,
-                    line=True,
-                )
-                record.decision = self.processors[self.leader].decision
-                if record.decision is None:
-                    raise ProtocolError(
-                        f"line execution of {self.algorithm.name!r} on "
-                        f"{self.word!r} quiesced without a leader decision"
-                    )
-                return record
-        # Pending deliveries, age-ordered (heap under the head-only FIFO
-        # scheduler, sorted candidates otherwise); see repro.ring.delivery.
-        pending = LinkQueues(use_heap=self.scheduler.head_only)
-        delivered = 0
-
-        def neighbor(index: int, direction: Direction) -> int:
-            target = index + (1 if direction is Direction.CW else -1)
-            if not 0 <= target < n:
-                raise ProtocolError(
-                    f"p_{index} sent {direction} off the end of the line"
-                )
-            return target
-
-        def enqueue(sender: int, sends) -> None:
-            for send in sends:
-                if not isinstance(send, Send):
-                    raise ProtocolError(f"handlers must yield Send, got {send!r}")
-                neighbor(sender, send.direction)  # validate now
-                bits = send.bits if type(send.bits) is Bits else Bits(send.bits)
-                if full:
-                    record.local_logs[sender].append(("sent", send.direction, bits))
-                pending.push((sender, send.direction), bits)
-
-        enqueue(self.leader, self.processors[self.leader].on_start())
-
-        while True:
-            candidates = pending.next_candidates()
-            if candidates is None:
-                break
-            if delivered >= max_messages:
-                raise RingError(
-                    f"exceeded {max_messages} messages on a line of {n}"
-                )
-            chosen = self.scheduler.choose(candidates)
-            if not 0 <= chosen < len(candidates):
-                raise RingError(
-                    f"scheduler chose index {chosen} out of "
-                    f"{len(candidates)} candidates"
-                )
-            sender, direction = candidates[chosen]
-            bits = pending.pop((sender, direction))
-            receiver = neighbor(sender, direction)
-            if full:
-                record.events.append(
-                    MessageEvent(
-                        index=delivered,
-                        sender=sender,
-                        receiver=receiver,
-                        direction=direction,
-                        bits=bits,
-                    )
-                )
-            else:
-                record.record(sender, receiver, direction, len(bits))
-            delivered += 1
-            arrived_from = direction.opposite()
-            if full:
-                record.local_logs[receiver].append(("received", arrived_from, bits))
-            enqueue(receiver, self.processors[receiver].on_receive(bits, arrived_from))
-
-        record.max_in_flight = pending.peak_in_flight
-        record.decision = self.processors[self.leader].decision
-        if record.decision is None:
-            raise ProtocolError(
-                f"line execution of {self.algorithm.name!r} on {self.word!r} "
-                "quiesced without a leader decision"
-            )
-        return record
+        return execute(
+            self.processors,
+            self.word,
+            self.leader,
+            self.scheduler,
+            max_messages,
+            trace,
+            self.algorithm.name,
+            line=True,
+        )

@@ -1,4 +1,4 @@
-"""Delivery schedulers for the bidirectional (asynchronous) ring.
+"""Delivery schedulers for the bidirectional ring and the line network.
 
 The paper's model is asynchronous: message transmission takes finite but
 arbitrary time, so the adversary chooses the interleaving.  A
@@ -9,6 +9,10 @@ interleaving-independent for the deterministic algorithms studied here
 
 Per-link FIFO is enforced by the simulator itself — schedulers only choose
 *among links* (each link-direction queue exposes only its head).
+
+The scheduler alone picks the delivery engine (:mod:`repro.ring.delivery`):
+a ``round_batchable`` one takes the round-batched sweep, any other the
+chooser loop.  The trace policy never changes the engine.
 """
 
 from __future__ import annotations
@@ -33,25 +37,19 @@ class Scheduler(ABC):
     link-direction with pending traffic, ordered by the enqueue time of the
     head message (oldest first).  Return the index of the chosen candidate.
 
-    ``head_only`` declares that the scheduler always returns 0 (it only
-    ever consumes the oldest head).  The simulators then keep the active
-    queues in an age-ordered heap and call ``choose`` with just the head
-    candidate — O(log q) per delivery instead of sorting all q active
-    queues (see :mod:`repro.ring.delivery`).  Delivery order is
-    unaffected; a subclass that overrides ``choose`` to pick other
-    indices must leave ``head_only`` False.
-
-    ``round_batchable`` strengthens ``head_only``: it declares the
-    scheduler is pure global-FIFO *and stateless about its choices*, so
-    metrics-mode runs may skip per-delivery scheduling entirely and take
-    the round-batched engine (:func:`repro.ring.delivery.run_round_batched`),
-    which never calls ``choose`` at all.  A ``head_only`` scheduler that
-    observes its own ``choose`` calls (counters, logging adversaries)
-    must leave ``round_batchable`` False to keep seeing every delivery;
+    ``round_batchable`` declares the scheduler pure global-FIFO *and
+    stateless about its choices*: it would always return 0, so runs may
+    skip per-delivery scheduling entirely and take the round-batched
+    sweep (:func:`repro.ring.delivery.run_round_batched`), which never
+    calls ``choose`` at all — on either trace policy.  Any other
+    scheduler is asked once per delivery by the chooser loop
+    (:func:`repro.ring.delivery.run_chooser`).  A subclass that
+    overrides ``choose``, or a FIFO that observes its own ``choose``
+    calls (counters, logging adversaries), must leave
+    ``round_batchable`` False to keep seeing every delivery; under FIFO
     the delivery order is identical either way.
     """
 
-    head_only = False
     round_batchable = False
 
     @abstractmethod
@@ -62,7 +60,6 @@ class Scheduler(ABC):
 class FifoScheduler(Scheduler):
     """Deliver the globally oldest message first (synchronous-like order)."""
 
-    head_only = True
     round_batchable = True
 
     def choose(self, candidates: Sequence[object]) -> int:

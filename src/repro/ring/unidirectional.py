@@ -16,41 +16,30 @@ The simulator enforces the model:
 
 Scheduling model and complexity
 -------------------------------
-No scheduler: one global FIFO deque of pending ``(sender, bits)`` pairs,
-popped in send order — the unique execution needs nothing else.  Each
-delivery costs O(1) simulator overhead on top of the handler's own work,
-so an m-message execution is O(m) simulator time.
+No scheduler: the unique execution is global FIFO, which is exactly
+the round-batched sweep's delivery order
+(:func:`~repro.ring.delivery.run_round_batched` with ``uni=True``:
+each round's messages precede everything they cause).  The sweep
+raises the CCW-send model violation at enqueue time in this
+simulator's wording.  Each delivery costs O(1) simulator overhead on
+top of the handler's own work, so an m-message execution is O(m)
+simulator time.
 
 Trace modes: ``run(trace="full")`` (default) materializes an
 :class:`~repro.ring.trace.ExecutionTrace` (O(m) events + local logs);
 ``run(trace="metrics")`` streams the same accounting into an O(n)-memory
 :class:`~repro.ring.trace.TraceStats`.  Counter-only sweeps (E1, E7-E11
-and the ``--preset long`` workloads) use metrics mode — and metrics
-mode takes the round-batched engine
-(:func:`~repro.ring.delivery.run_round_batched` with ``uni=True``):
-global FIFO is round-structured, so the engine's sweep order is
-exactly this deque's pop order, with identical counters and identical
-model-violation errors.  The deque loop runs only for full traces; it
-is the oracle (``run(trace="full").stats()`` must equal the metrics
-run's counters).
+and the ``--preset long`` workloads) use metrics mode.  Both modes run
+the same sweep; a full trace is recorded by wrapping the processors
+(:func:`~repro.ring.delivery.execute`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.bits import Bits
-from repro.errors import ProtocolError, RingError
-from repro.ring.delivery import run_round_batched
-from repro.ring.messages import Direction, Send
+from repro.errors import RingError
+from repro.ring.delivery import execute
 from repro.ring.processor import Processor, RingAlgorithm
-from repro.ring.trace import (
-    ExecutionTrace,
-    MessageEvent,
-    TracePolicy,
-    TraceStats,
-    validate_trace_policy,
-)
+from repro.ring.trace import ExecutionTrace, TracePolicy, TraceStats
 
 __all__ = ["UnidirectionalRing", "run_unidirectional"]
 
@@ -91,79 +80,16 @@ class UnidirectionalRing:
         :class:`RingError` if ``max_messages`` is exceeded (diverging
         algorithm).
         """
-        validate_trace_policy(trace)
-        n = len(self.word)
-        if trace == "metrics":
-            # The unique execution is global-FIFO by definition, so
-            # metrics-mode runs take the round-batched engine (uni=True:
-            # CCW sends raise this simulator's model violation).
-            stats = TraceStats(self.word, leader=0)
-            run_round_batched(
-                self.processors, n, 0, stats, max_messages, uni=True
-            )
-            return self._decided(stats)
-        record = ExecutionTrace(
-            word=self.word,
-            leader=0,
-            local_logs=[[] for _ in range(n)],
+        return execute(
+            self.processors,
+            self.word,
+            0,
+            None,
+            max_messages,
+            trace,
+            self.algorithm.name,
+            uni=True,
         )
-        pending: deque[tuple[int, Bits]] = deque()
-        delivered = 0
-
-        def enqueue(sender: int, sends) -> None:
-            for send in sends:
-                if not isinstance(send, Send):
-                    raise ProtocolError(f"handlers must yield Send, got {send!r}")
-                if send.direction is not Direction.CW:
-                    raise ProtocolError(
-                        "unidirectional algorithms may only send CW "
-                        f"(p_{sender} tried {send.direction})"
-                    )
-                bits = send.bits if type(send.bits) is Bits else Bits(send.bits)
-                record.local_logs[sender].append(("sent", Direction.CW, bits))
-                pending.append((sender, bits))
-                if len(pending) > record.max_in_flight:
-                    record.max_in_flight = len(pending)
-
-        enqueue(0, self.processors[0].on_start())
-
-        while pending:
-            if delivered >= max_messages:
-                raise RingError(
-                    f"exceeded {max_messages} messages on n={n}; "
-                    "algorithm appears to diverge"
-                )
-            sender, bits = pending.popleft()
-            receiver = sender + 1 if sender + 1 < n else 0
-            record.events.append(
-                MessageEvent(
-                    index=delivered,
-                    sender=sender,
-                    receiver=receiver,
-                    direction=Direction.CW,
-                    bits=bits,
-                )
-            )
-            # A CW message arrives on the receiver's CCW port.
-            record.local_logs[receiver].append(("received", Direction.CCW, bits))
-            delivered += 1
-            responses = self.processors[receiver].on_receive(bits, Direction.CCW)
-            enqueue(receiver, responses)
-
-        return self._decided(record)
-
-    def _decided(
-        self, record: ExecutionTrace | TraceStats
-    ) -> ExecutionTrace | TraceStats:
-        """Copy the leader's decision into ``record``; quiescing undecided
-        is a model violation."""
-        record.decision = self.processors[0].decision
-        if record.decision is None:
-            raise ProtocolError(
-                f"execution of {self.algorithm.name!r} on {self.word!r} "
-                "quiesced without a leader decision"
-            )
-        return record
 
 
 def run_unidirectional(

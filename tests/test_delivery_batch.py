@@ -1,23 +1,26 @@
-"""Round-batched delivery engine: oracle equivalence and engagement rules.
+"""The two delivery engines: oracle equivalence and engagement rules.
 
-The batch engine (:func:`repro.ring.delivery.run_round_batched`) replaces
-the heap loop whenever the scheduler is ``round_batchable`` and the run
-streams ``trace="metrics"``.  Its contract is *bit-for-bit equivalence*
-with the heap oracle: identical delivery order (pinned here through a
-shared journal every processor appends to), identical
-:class:`~repro.ring.trace.TraceStats` counters, and identical experiment
-tables — across the asynchronous substrates (bidirectional ring, line)
-and the unidirectional ring (``uni=True``, whose own global-FIFO deque
-loop is the oracle), with randomized protocols.
-The oracles are reached through code production runs: a ``trace="full"``
-run, or a FIFO scheduler that declines batching (``_HeapFifo``).
-The poisoned-oracle tests prove the engagement rule from both sides: an
-engaged batch run never constructs :class:`LinkQueues` at all, and a
-full trace or a scheduler that is not ``round_batchable`` takes the heap.
+The round-batched sweep (:func:`repro.ring.delivery.run_round_batched`)
+serves every run whose scheduler is ``round_batchable``, on both trace
+policies; every other scheduler takes the chooser loop
+(:func:`repro.ring.delivery.run_chooser`).  A FIFO scheduler that
+declines batching (``_HeapFifo``) runs the chooser loop in the sweep's
+delivery order, so it is the sweep's oracle: identical delivery order
+(pinned here through a shared journal every processor appends to),
+identical :class:`~repro.ring.trace.TraceStats` counters, identical
+whole :class:`~repro.ring.trace.ExecutionTrace` objects (events, local
+logs, peak in flight, decision), and identical experiment tables —
+across the bidirectional ring, the line, and the unidirectional ring
+(pinned against a bidirectional ring running the same CW-only
+protocol), with randomized protocols.  Full traces are also checked
+against their own events: every local log must be the projection of the
+event list onto that processor.
+The poisoned-oracle tests prove the engagement rule from both sides: a
+batchable run never constructs :class:`LinkQueues` at all, whatever its
+trace policy, and a scheduler that is not ``round_batchable`` does.
 
-The incremental sorted view (the non-``head_only`` candidate list) is
-covered by a push/pop state-machine property against a from-scratch
-re-sort.
+The incremental sorted view (the chooser's candidate list) is covered
+by a push/pop state-machine property against a from-scratch re-sort.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from hypothesis import strategies as st
 from repro.bits import Bits
 from repro.errors import ProtocolError
 from repro.experiments import get_spec
+import repro.ring.delivery as delivery
 from repro.ring.bidirectional import BidirectionalRing, run_bidirectional
 from repro.ring.delivery import LinkQueues
 from repro.ring.line import LineNetwork
@@ -57,7 +61,7 @@ STAT_FIELDS = (
 
 
 class _HeapFifo(FifoScheduler):
-    """Global-FIFO order, batch engine declined: the heap oracle."""
+    """Global-FIFO order, batch engine declined: the chooser-loop oracle."""
 
     round_batchable = False
 
@@ -65,6 +69,39 @@ class _HeapFifo(FifoScheduler):
 def _assert_stats_equal(left, right) -> None:
     for field in STAT_FIELDS:
         assert getattr(left, field) == getattr(right, field), field
+
+
+def _assert_logs_match_events(trace) -> None:
+    """Every local log is its processor's projection of the event list.
+
+    Received entries follow the delivery order; sent entries per port
+    follow that link's delivery order (links are FIFO, and a quiescent
+    run has delivered everything it sent).
+    """
+    n = trace.ring_size
+    assert [event.index for event in trace.events] == list(
+        range(len(trace.events))
+    )
+    for event in trace.events:
+        assert event.receiver == event.direction.step(event.sender, n)
+    for node, log in enumerate(trace.local_logs):
+        received = [(port, bits) for kind, port, bits in log if kind == "received"]
+        assert received == [
+            (event.direction.opposite(), event.bits)
+            for event in trace.events
+            if event.receiver == node
+        ]
+        for port in Direction:
+            sent = [
+                bits
+                for kind, direction, bits in log
+                if kind == "sent" and direction is port
+            ]
+            assert sent == [
+                event.bits
+                for event in trace.events
+                if event.sender == node and event.direction is port
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +216,18 @@ class TestOracleEquivalence:
         )
         heap, heap_journal = _run_chaos_bidi(seed, n, _HeapFifo(), "metrics")
         full, full_journal = _run_chaos_bidi(seed, n, FifoScheduler(), "full")
+        heap_full, heap_full_journal = _run_chaos_bidi(
+            seed, n, _HeapFifo(), "full"
+        )
         # Identical delivery order, message for message...
         assert batch_journal == heap_journal == full_journal
-        # ...and identical accounting, field for field.
+        assert full_journal == heap_full_journal
+        # ...identical accounting, field for field...
         _assert_stats_equal(batch, heap)
         _assert_stats_equal(batch, full.stats())
+        # ...and identical whole traces, consistent with their events.
+        assert full == heap_full
+        _assert_logs_match_events(full)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -196,30 +240,39 @@ class TestOracleEquivalence:
         )
         heap, heap_journal = _run_chaos_line(seed, n, _HeapFifo(), "metrics")
         full, full_journal = _run_chaos_line(seed, n, FifoScheduler(), "full")
+        heap_full, heap_full_journal = _run_chaos_line(
+            seed, n, _HeapFifo(), "full"
+        )
         assert batch_journal == heap_journal == full_journal
+        assert full_journal == heap_full_journal
         _assert_stats_equal(batch, heap)
         _assert_stats_equal(batch, full.stats())
+        assert full == heap_full
+        _assert_logs_match_events(full)
 
     def test_experiment_table_identical(self, monkeypatch):
-        """A whole experiment renders byte-identically on both engines.
+        """Whole experiments render byte-identically on both engines.
 
-        E6 drives the line substrate (the ring-to-line compiler) whose
-        quick cells stream metrics; a FIFO scheduler that declines
-        batching puts every one of them on the heap.
+        E2, E4, E5 and E6 consume full traces.  A FIFO scheduler that
+        declines batching moves E5's bidirectional and E6's line runs
+        onto the chooser loop; E2 and E4 run the unidirectional ring,
+        which has no scheduler and sweeps either way.
         """
-        batched = get_spec("E6").run(True).render()
+        ids = ("E2", "E4", "E5", "E6")
+        batched = [get_spec(exp).run(True).render() for exp in ids]
         monkeypatch.setattr(FifoScheduler, "round_batchable", False)
-        heap = get_spec("E6").run(True).render()
-        assert batched == heap
+        chooser = [get_spec(exp).run(True).render() for exp in ids]
+        for exp, left, right in zip(ids, batched, chooser):
+            assert left == right, exp
 
 
 class TestUnidirectionalBatch:
-    """The uni substrate on the engine: the global FIFO deque is the oracle.
+    """The uni substrate on the sweep (``uni=True``).
 
-    The unidirectional simulator has no scheduler or ``LinkQueues`` —
-    its deque loop *is* global FIFO — so parity pins the engine against
-    that loop instead of a heap.  Only full traces take the deque loop,
-    so ``run(trace="full").stats()`` is the oracle.
+    The unidirectional simulator has no scheduler, so its oracle is a
+    bidirectional ring whose FIFO declines batching, running the same
+    CW-only protocol on the chooser loop: the unique execution must be
+    the same execution, whole trace included.
     """
 
     @given(
@@ -227,17 +280,24 @@ class TestUnidirectionalBatch:
         n=st.integers(min_value=1, max_value=24),
     )
     @settings(max_examples=60, deadline=None)
-    def test_uni_batch_equals_deque_and_full(self, seed, n):
+    def test_uni_batch_equals_bidi_chooser_and_full(self, seed, n):
         batch, batch_journal = _run_chaos_uni(seed, n, "metrics")
         full, full_journal = _run_chaos_uni(seed, n, "full")
+        algorithm = _ChaosAlgorithm(seed, uni=True)
+        oracle = BidirectionalRing(
+            algorithm, "a" * n, scheduler=_HeapFifo()
+        ).run()
         # Identical delivery order, message for message...
-        assert batch_journal == full_journal
-        # ...and identical accounting, field for field.
+        assert batch_journal == full_journal == algorithm.journal
+        # ...identical accounting, field for field...
         _assert_stats_equal(batch, full.stats())
+        # ...and identical whole traces, consistent with their events.
+        assert full == oracle
+        _assert_logs_match_events(full)
 
     def test_uni_ccw_error_identical(self):
-        """The engine's CCW rejection matches the deque loop's, word for
-        word (the unidirectional model violation, not the line's)."""
+        """The sweep's CCW rejection keeps the unidirectional model
+        violation's wording (not the line's) on both trace policies."""
 
         class _Rebel(Processor):
             def on_start(self):
@@ -262,11 +322,15 @@ class TestUnidirectionalBatch:
             return str(info.value)
 
         batched = message("metrics")
-        assert "unidirectional algorithms may only send CW" in batched
+        assert batched == (
+            "unidirectional algorithms may only send CW "
+            "(p_1 tried Direction.CCW)"
+        )
         assert batched == message("full")
 
     def test_uni_cap_errors_identical(self):
-        """The round-hoisted cap raises exactly like the deque loop's."""
+        """The round-hoisted cap raises exactly like the chooser's
+        per-delivery check on a bidirectional ring."""
 
         class _Forever(Processor):
             def on_start(self):
@@ -285,16 +349,19 @@ class TestUnidirectionalBatch:
             def create_processor(self, letter, is_leader):
                 return _Forever(letter, is_leader)
 
-        def message(trace):
+        def message(run, **kwargs):
             from repro.errors import RingError
 
             with pytest.raises(RingError) as info:
-                run_unidirectional(
-                    _ForeverAlgo(), "aaaa", max_messages=10, trace=trace
-                )
+                run(_ForeverAlgo(), "aaaa", max_messages=10, **kwargs)
             return str(info.value)
 
-        assert message("metrics") == message("full")
+        batched = message(run_unidirectional, trace="metrics")
+        assert batched == (
+            "exceeded 10 messages on n=4; algorithm appears to diverge"
+        )
+        assert batched == message(run_unidirectional)
+        assert batched == message(run_bidirectional, scheduler=_HeapFifo())
 
         # Quiescing at exactly the cap raises on neither path.
         class _Once(Processor):
@@ -321,71 +388,47 @@ class TestUnidirectionalBatch:
         full = run_unidirectional(_OnceAlgo(), "aa", max_messages=1)
         assert full.stats().message_count == 1
 
-    def test_uni_batch_path_never_builds_the_deque(self, monkeypatch):
-        """Poisoned deque: an engaged metrics run returns before the
-        oracle loop's pending queue is ever constructed."""
-        import repro.ring.unidirectional as module
-
-        class _Poisoned:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError(
-                    "round-batched run built the oracle deque"
-                )
-
-        monkeypatch.setattr(module, "deque", _Poisoned)
-        stats, _ = _run_chaos_uni(7, 9, "metrics")
-        assert stats.decision is True
-        # Full traces still need the deque loop.
-        with pytest.raises(AssertionError, match="built the oracle"):
-            _run_chaos_uni(7, 9, "full")
-
 
 class TestEngagementRules:
     def test_scheduler_capability_flags(self):
-        assert FifoScheduler.head_only and FifoScheduler.round_batchable
-        assert not LifoScheduler.head_only
+        assert FifoScheduler.round_batchable
         assert not LifoScheduler.round_batchable
-        assert not RandomScheduler.head_only
+        assert not RandomScheduler.round_batchable
         assert not AdversarialScheduler.round_batchable
-        # The bench/oracle idiom: head-only without batchability.
-        assert _HeapFifo.head_only and not _HeapFifo.round_batchable
+        # The bench/oracle idiom: FIFO order without batchability.
+        assert not _HeapFifo.round_batchable
 
     @pytest.mark.parametrize("substrate", ["bidi", "line"])
     def test_batch_path_never_consults_the_oracle(
         self, substrate, monkeypatch
     ):
-        """Poisoned LinkQueues: an engaged batch run must never build it."""
+        """Poisoned LinkQueues: a batchable run must never build it."""
 
         class _Poisoned:
             def __init__(self, *args, **kwargs):
-                raise AssertionError(
-                    "round-batched run consulted the heap oracle"
-                )
+                raise AssertionError("run consulted the chooser oracle")
 
         if substrate == "bidi":
-            import repro.ring.bidirectional as module
 
             def run(trace, scheduler=FifoScheduler):
                 return _run_chaos_bidi(7, 9, scheduler(), trace)[0]
         else:
-            import repro.ring.line as module
 
             def run(trace, scheduler=FifoScheduler):
                 return _run_chaos_line(7, 9, scheduler(), trace)[0]
 
-        monkeypatch.setattr(module, "LinkQueues", _Poisoned)
-        # metrics + FifoScheduler: the batch engine carries the run.
-        stats = run("metrics")
-        assert stats.decision is True
-        # Full traces still need the oracle...
-        with pytest.raises(AssertionError, match="consulted the heap"):
-            run("full")
-        # ...and so does a FIFO scheduler that declines batching.
-        with pytest.raises(AssertionError, match="consulted the heap"):
-            run("metrics", _HeapFifo)
+        monkeypatch.setattr(delivery, "LinkQueues", _Poisoned)
+        # FifoScheduler: the sweep carries the run on either policy.
+        assert run("metrics").decision is True
+        assert run("full").decision is True
+        # A FIFO scheduler that declines batching takes the chooser.
+        for trace in ("metrics", "full"):
+            with pytest.raises(AssertionError, match="consulted the chooser"):
+                run(trace, _HeapFifo)
 
     def test_line_off_end_errors_identical(self):
-        """The batch enqueue validator matches the heap's, word for word."""
+        """The sweep's enqueue validator matches the chooser's, word for
+        word."""
 
         class _Bad(Processor):
             def on_start(self):
@@ -412,9 +455,10 @@ class TestEngagementRules:
 
         batched = message("metrics")
         assert batched == message("metrics", _HeapFifo) == message("full")
+        assert batched == message("full", _HeapFifo)
 
     def test_message_cap_errors_identical(self):
-        """The round-hoisted cap check raises exactly like the heap's."""
+        """The round-hoisted cap check raises exactly like the chooser's."""
 
         class _Forever(Processor):
             def on_start(self):
@@ -448,6 +492,7 @@ class TestEngagementRules:
 
         batched = message("metrics")
         assert batched == message("metrics", _HeapFifo) == message("full")
+        assert batched == message("full", _HeapFifo)
         # A run that quiesces at exactly the cap does NOT raise, on
         # either engine (the boundary the hoisted check must respect).
         class _Once(Processor):
@@ -479,13 +524,13 @@ class TestEngagementRules:
 
 
 class TestIncrementalSortedView:
-    """The non-head_only candidate list, maintained without re-sorting."""
+    """The chooser's candidate list, maintained without re-sorting."""
 
     _KEYS = ["a", "b", "c", "d", "e"]
 
     def _check(self, queues: LinkQueues) -> None:
         expected = sorted(
-            (queues.queues[key][0][0], key) for key in queues.active
+            (queue[0][0], key) for key, queue in queues.queues.items() if queue
         )
         assert queues.sorted_view == expected
         candidates = queues.next_candidates()
@@ -497,9 +542,9 @@ class TestIncrementalSortedView:
     @given(ops=st.lists(st.integers(min_value=0, max_value=99), max_size=80))
     @settings(max_examples=100, deadline=None)
     def test_view_matches_full_resort_after_every_op(self, ops):
-        queues = LinkQueues(use_heap=False)
+        queues = LinkQueues()
         for op in ops:
-            if op % 2 == 0 or not queues.active:
+            if op % 2 == 0 or not queues.sorted_view:
                 queues.push(self._KEYS[op % len(self._KEYS)], Bits("1"))
             else:
                 # Pop an arbitrary active key — non-head pops are the
@@ -532,3 +577,4 @@ class TestIncrementalSortedView:
             stats, _ = _run_chaos_bidi(seed, 9, make(), "metrics")
             full, _ = _run_chaos_bidi(seed, 9, make(), "full")
             _assert_stats_equal(stats, full.stats())
+            _assert_logs_match_events(full)

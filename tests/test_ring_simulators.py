@@ -243,7 +243,12 @@ class TestBidirectional:
         assert trace.max_in_flight == 1
 
     def test_bad_scheduler_choice(self):
+        # A scheduler that overrides ``choose`` is not pure FIFO, so it
+        # must not inherit FifoScheduler's ``round_batchable`` promise:
+        # batchable schedulers are never asked to choose.
         class Broken(FifoScheduler):
+            round_batchable = False
+
             def choose(self, candidates):
                 return 99
 
