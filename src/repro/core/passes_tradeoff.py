@@ -90,16 +90,16 @@ class _TwoPassTradeoff(MultipassAlgorithm):
         return None, None, parity == 0
 
     def follower_step(self, letter: str, memory, incoming: Bits):
-        if len(incoming) == self.k:
+        width = len(incoming)
+        if width == self.k:
             count = incoming.to_int()
             return None, encode_fixed((count + 1) % self.modulus, self.k)
-        if len(incoming) == self.k + 1:
-            reader = BitReader(incoming)
-            target = reader.read_fixed(self.k)
-            parity = reader.read_bit()
-            if letter == self._target_letter(target):
-                parity ^= 1
-            return None, encode_fixed(target, self.k) + Bits([parity])
+        if width == self.k + 1:
+            # Target index in the high k bits, parity in the low bit.
+            value = incoming.to_int()
+            if letter == self._target_letter(value >> 1):
+                return None, encode_fixed(value ^ 1, width)
+            return None, incoming
         # Unknown shape (only reachable via the Theorem 3 enumerator, which
         # probes followers with arbitrary message-space elements): inert.
         return None, incoming
@@ -137,17 +137,28 @@ class _OnePassLeader(Processor):
 
 
 class _OnePassFollower(Processor):
+    """Works on the message's packed integer: the count is the high ``k``
+    bits and parity ``i`` is bit ``modulus - 1 - i`` from the low end, so
+    a step is one shift, one mask and one XOR (the same bits
+    :meth:`OnePassTradeoffRecognizer.decode` and ``encode`` would give)."""
+
     def __init__(self, letter: str, algorithm: "OnePassTradeoffRecognizer") -> None:
         super().__init__(letter, is_leader=False)
         self._algorithm = algorithm
+        modulus = algorithm.modulus
+        self._width = algorithm.k + modulus
+        index = algorithm.alphabet.index(letter)
+        self._flip = 1 << (modulus - 1 - index) if index < modulus else 0
 
     def on_receive(self, message: Bits, arrived_from: Direction) -> Iterable[Send]:
         alg = self._algorithm
-        count, parities = alg.decode(message)
-        index = alg.alphabet.index(self.letter)
-        if index < alg.modulus:
-            parities[index] ^= 1
-        return [Send.cw(alg.encode((count + 1) % alg.modulus, parities))]
+        if len(message) != self._width:
+            alg.decode(message)  # raises the codec's length error
+        modulus = alg.modulus
+        value = message.to_int()
+        count = ((value >> modulus) + 1) % modulus
+        parities = (value ^ self._flip) & ((1 << modulus) - 1)
+        return [Send.cw(encode_fixed(count << modulus | parities, self._width))]
 
 
 class OnePassTradeoffRecognizer(RingAlgorithm):

@@ -36,6 +36,7 @@ class RegularLanguage(Language):
     def __init__(self, name: str, dfa: DFA, minimal: bool = True) -> None:
         super().__init__(name, dfa.alphabet)
         self._dfa = minimize(dfa) if minimal else dfa
+        self._chains: dict[frozenset, _ViableChain] = {}
 
     @property
     def dfa(self) -> DFA:
@@ -48,9 +49,14 @@ class RegularLanguage(Language):
     def sample_member(self, length: int, rng: random.Random) -> str | None:
         """Constructive sampling via a random walk through co-reachable states.
 
-        Precomputes which states can still reach acceptance in the remaining
-        number of steps, then walks the DFA choosing uniformly among viable
-        symbols; returns None iff no member of this length exists.
+        Walks the DFA choosing uniformly among the symbols whose successor
+        can still reach acceptance in exactly the remaining number of
+        steps; returns None iff no member of this length exists.  The
+        viable sets form an eventually periodic sequence (see
+        :class:`_ViableChain`), so the walk takes O(n) time but keeps only
+        the pre-period and one period of sets (a handful for the
+        experiments' languages, ``2^|Q|`` at the very worst, and never
+        more than ``length + 1``) — not one set per letter.
         """
         return self._sample_walk(length, rng, frozenset(self._dfa.accepting))
 
@@ -61,8 +67,9 @@ class RegularLanguage(Language):
         The base class falls back to rejection sampling, which degenerates
         for dense languages (a random long word almost surely *contains* a
         given substring, say) — at n = 10^4 the long-preset sweeps would
-        spend their whole budget rejecting.  The viable-set walk is O(n)
-        either way; returns None iff every length-n word is a member.
+        spend their whole budget rejecting.  The walk is O(n) time and
+        keeps only the periodic viable sets, as in :meth:`sample_member`;
+        returns None iff every length-n word is a member.
         """
         targets = frozenset(self._dfa.states) - frozenset(self._dfa.accepting)
         return self._sample_walk(length, rng, targets)
@@ -70,37 +77,83 @@ class RegularLanguage(Language):
     def _sample_walk(
         self, length: int, rng: random.Random, targets: frozenset
     ) -> str | None:
-        viable = self._viable_sets(length, targets)
-        if self._dfa.start not in viable[0]:
-            return None
+        chain = self._chains.get(targets)
+        if chain is None:
+            chain = self._chains[targets] = _ViableChain(
+                self._dfa, self._alphabet, targets
+            )
         state = self._dfa.start
+        if state not in chain.sets[chain.index(length)]:
+            return None
+        # chain.index(length) extended the chain to cover every step below.
+        mu, lam, known = chain.mu, chain.lam, len(chain.sets)
+        moves = chain.moves
+        choice = rng.choice
         letters: list[str] = []
-        for remaining in range(length, 0, -1):
-            options = [
-                symbol
-                for symbol in self._alphabet
-                if self._dfa.transitions[(state, symbol)] in viable[length - remaining + 1]
-            ]
-            symbol = rng.choice(options)
+        for remaining in range(length - 1, -1, -1):
+            index = remaining if remaining < known else mu + (remaining - mu) % lam
+            options = moves.get((state, index))
+            if options is None:
+                options = chain.options(state, index)
+            symbol, state = choice(options)
             letters.append(symbol)
-            state = self._dfa.transitions[(state, symbol)]
         return "".join(letters)
 
-    def _viable_sets(self, length: int, targets: frozenset) -> list[frozenset]:
-        """``viable[i]`` = states from which some state of ``targets`` is
-        reachable in exactly ``length - i`` more steps."""
-        viable: list[frozenset] = [frozenset()] * (length + 1)
-        viable[length] = targets
-        for i in range(length - 1, -1, -1):
-            viable[i] = frozenset(
+
+class _ViableChain:
+    """The viable sets of a DFA toward ``targets``, one period deep.
+
+    ``W(j)`` is the set of states from which some state of ``targets`` is
+    reachable in exactly ``j`` steps: ``W(0) = targets`` and ``W(j + 1)``
+    is the predecessor set of ``W(j)``.  Each set depends only on the one
+    before it, so the sequence is eventually periodic: once ``W(mu +
+    lam) == W(mu)`` it repeats with period ``lam``.  :attr:`sets` holds
+    ``W(0) .. W(mu + lam - 1)``; it is grown only as far as a walk asks,
+    so a short word never computes past its own length.
+    """
+
+    __slots__ = ("_dfa", "_alphabet", "_seen", "sets", "mu", "lam", "moves")
+
+    def __init__(self, dfa: DFA, alphabet: tuple[str, ...], targets: frozenset) -> None:
+        self._dfa = dfa
+        self._alphabet = alphabet
+        self._seen = {targets: 0}
+        self.sets: list[frozenset] = [targets]
+        self.mu = 0
+        self.lam = 0  # 0 until the first repeat is found
+        # (state, set index) -> [(symbol, successor)] in alphabet order.
+        self.moves: dict[tuple, list[tuple[str, object]]] = {}
+
+    def index(self, steps: int) -> int:
+        """Index into :attr:`sets` of ``W(steps)``, growing the chain."""
+        sets = self.sets
+        transitions, alphabet = self._dfa.transitions, self._alphabet
+        while not self.lam and len(sets) <= steps:
+            after = sets[-1]
+            before = frozenset(
                 state
                 for state in self._dfa.states
-                if any(
-                    self._dfa.transitions[(state, symbol)] in viable[i + 1]
-                    for symbol in self._alphabet
-                )
+                if any(transitions[(state, symbol)] in after for symbol in alphabet)
             )
-        return viable
+            first = self._seen.get(before)
+            if first is not None:
+                self.mu, self.lam = first, len(sets) - first
+            else:
+                self._seen[before] = len(sets)
+                sets.append(before)
+        if steps < len(sets):
+            return steps
+        return self.mu + (steps - self.mu) % self.lam
+
+    def options(self, state, index: int) -> list[tuple[str, object]]:
+        """The moves from ``state`` that land in ``sets[index]``."""
+        transitions, viable = self._dfa.transitions, self.sets[index]
+        moves = self.moves[(state, index)] = [
+            (symbol, transitions[(state, symbol)])
+            for symbol in self._alphabet
+            if transitions[(state, symbol)] in viable
+        ]
+        return moves
 
 
 def regex_language(name: str, pattern: str, alphabet: Iterable[str]) -> RegularLanguage:

@@ -48,9 +48,28 @@ class Scheduler(ABC):
     calls (counters, logging adversaries), must leave
     ``round_batchable`` False to keep seeing every delivery; under FIFO
     the delivery order is identical either way.
+
+    The rule is enforced when a subclass is defined: a class whose own
+    body defines ``choose`` while it inherits ``round_batchable = True``
+    raises :class:`TypeError` unless the body also sets
+    ``round_batchable`` (False to be asked, True to declare the override
+    a pure FIFO).
     """
 
     round_batchable = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if (
+            "choose" in cls.__dict__
+            and "round_batchable" not in cls.__dict__
+            and cls.round_batchable
+        ):
+            raise TypeError(
+                f"{cls.__qualname__} overrides choose() but inherits "
+                "round_batchable = True, so choose() would never be called; "
+                "set round_batchable in the class body"
+            )
 
     @abstractmethod
     def choose(self, candidates: Sequence[object]) -> int:

@@ -255,6 +255,26 @@ class TestBidirectional:
         with pytest.raises(RingError, match="scheduler chose"):
             run_bidirectional(PingPong(), "ab", scheduler=Broken())
 
+    def test_choose_override_must_declare_round_batchable(self):
+        # Inheriting round_batchable = True would silently bypass choose().
+        with pytest.raises(TypeError, match="round_batchable"):
+
+            class Silent(FifoScheduler):
+                def choose(self, candidates):
+                    return len(candidates) - 1
+
+        class Declared(FifoScheduler):
+            round_batchable = False
+
+            def choose(self, candidates):
+                return len(candidates) - 1
+
+        class Inherits(Declared):  # inherits False: asked, so allowed
+            def choose(self, candidates):
+                return 0
+
+        assert not Declared.round_batchable and not Inherits.round_batchable
+
     def test_quiesce_without_decision(self):
         class Mute(RingAlgorithm):
             name = "mute"
