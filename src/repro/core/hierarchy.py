@@ -127,12 +127,39 @@ class _HierarchyLeader(Processor):
 
 
 class _HierarchyFollower(Processor):
+    """Slides a full window on the message's packed integer.
+
+    A full compare message is the head ``1, fail, _FULL`` then ``L``
+    letters of ``b`` bits: the front letter is ``window >> (L-1)b`` and
+    the slid window ``((window << b) | mine) & mask`` — one ``Bits`` of
+    the same length, the bits :class:`_CompareCodec` would give.  Count
+    and filling messages, and any malformed one, take the codec path.
+    """
+
     def __init__(self, letter: str, algorithm: "HierarchyRecognizer") -> None:
         super().__init__(letter, is_leader=False)
         self._algorithm = algorithm
 
     def on_receive(self, message: Bits, arrived_from: Direction) -> Iterable[Send]:
         alg = self._algorithm
+        width = alg.letter_width
+        length = len(message)
+        value = message.to_int()
+        window_bits = length - 3
+        if (
+            window_bits >= width
+            and window_bits % width == 0
+            and (value >> window_bits) | 0b010 == 0b111
+        ):
+            mine = alg.letter_code(self.letter)
+            mask = (1 << window_bits) - 1
+            window = value & mask
+            fail = (value >> (window_bits + 1)) & 1
+            if window >> (window_bits - width) != mine:
+                fail = 1
+            window = ((window << width) | mine) & mask
+            head = _PHASE_COMPARE << 2 | fail << 1 | _FULL
+            return [Send.cw(encode_fixed(head << window_bits | window, length))]
         reader = BitReader(message)
         phase = reader.read_bit()
         if phase == _PHASE_COUNT:

@@ -63,6 +63,15 @@ class _KnownNHierarchyLeader(Processor):
 
 
 class _KnownNHierarchyFollower(Processor):
+    """Slides a full window on the message's packed integer.
+
+    A full message is the fail bit then ``p`` letters of ``b`` bits: the
+    front letter is ``window >> (p-1)b`` and the slid window
+    ``((window << b) | mine) & mask`` — one ``Bits`` of the same length,
+    the bits :meth:`KnownNHierarchyRecognizer.encode` would give.  A
+    filling window, and any malformed message, take the codec path.
+    """
+
     def __init__(
         self,
         letter: str,
@@ -77,8 +86,21 @@ class _KnownNHierarchyFollower(Processor):
 
     def on_receive(self, message: Bits, arrived_from: Direction) -> Iterable[Send]:
         alg = self._algorithm
-        fail, window = alg.decode(message)
         p = alg.block_length(self._size)
+        width = alg.letter_width
+        length = len(message)
+        window_bits = length - 1
+        if p >= 1 and window_bits == p * width:
+            value = message.to_int()
+            mine = alg.letter_code(self.letter)
+            mask = (1 << window_bits) - 1
+            window = value & mask
+            fail = value >> window_bits
+            if window >> (window_bits - width) != mine:
+                fail = 1
+            window = ((window << width) | mine) & mask
+            return [Send.cw(encode_fixed(fail << window_bits | window, length))]
+        fail, window = alg.decode(message)
         mine = alg.letter_code(self.letter)
         # Full periodicity: every processor from position p on compares its
         # letter against the one p positions back (the window front).  The

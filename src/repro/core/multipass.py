@@ -36,7 +36,7 @@ from repro.bits import BitReader, Bits, encode_elias_gamma, encode_fixed, fixed_
 from repro.errors import CompilationError, ProtocolError
 from repro.core.regular_onepass import OnePassTransducer
 from repro.ring.messages import Direction, Send
-from repro.ring.processor import Processor, RingAlgorithm
+from repro.ring.processor import Processor, RelayProgram, RingAlgorithm
 
 __all__ = [
     "MultipassAlgorithm",
@@ -93,6 +93,12 @@ class MultipassAlgorithm(ABC):
 
 
 class _MultipassLeader(Processor):
+    """Leader processor running a :class:`MultipassAlgorithm`.
+
+    With :class:`_MultipassFollower`, the full-trace path and the oracle
+    of the relay walk (:meth:`MultipassRingAlgorithm.relay_program`).
+    """
+
     def __init__(self, letter: str, algorithm: MultipassAlgorithm) -> None:
         super().__init__(letter, is_leader=True)
         self._algorithm = algorithm
@@ -115,6 +121,8 @@ class _MultipassLeader(Processor):
 
 
 class _MultipassFollower(Processor):
+    """Follower processor running a :class:`MultipassAlgorithm`."""
+
     def __init__(self, letter: str, algorithm: MultipassAlgorithm) -> None:
         super().__init__(letter, is_leader=False)
         self._algorithm = algorithm
@@ -128,7 +136,12 @@ class _MultipassFollower(Processor):
 
 
 class MultipassRingAlgorithm(RingAlgorithm):
-    """Adapter running a :class:`MultipassAlgorithm` on the ring simulators."""
+    """Adapter running a :class:`MultipassAlgorithm` on the ring simulators.
+
+    A ``trace="metrics"`` unidirectional run walks the word through
+    :meth:`relay_program`; every other run goes through the
+    leader/follower processors above.
+    """
 
     def __init__(self, algorithm: MultipassAlgorithm) -> None:
         super().__init__(algorithm.alphabet)
@@ -139,6 +152,28 @@ class MultipassRingAlgorithm(RingAlgorithm):
         if is_leader:
             return _MultipassLeader(letter, self.multipass)
         return _MultipassFollower(letter, self.multipass)
+
+    def relay_program(self) -> RelayProgram:
+        """The algorithm's own steps; its leader must decide or go on."""
+        algorithm = self.multipass
+        leader_pass_end = algorithm.leader_pass_end
+
+        def pass_end(letter: str, memory: Memory, incoming: Bits) -> tuple:
+            memory, nxt, decision = leader_pass_end(letter, memory, incoming)
+            if decision is None and nxt is None:
+                raise ProtocolError(
+                    "leader_pass_end returned neither message nor decision"
+                )
+            return memory, nxt, decision
+
+        fresh = algorithm.follower_initial_memory
+        if type(algorithm).follower_initial_memory is (
+            MultipassAlgorithm.follower_initial_memory
+        ):
+            fresh = None  # the default memory: skip n calls returning None
+        return RelayProgram(
+            algorithm.leader_start, algorithm.follower_step, pass_end, fresh
+        )
 
 
 # ----------------------------------------------------------------------

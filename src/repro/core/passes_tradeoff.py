@@ -23,14 +23,11 @@ exercised by compiling :class:`TwoPassTradeoffRecognizer` with
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.bits import BitReader, Bits, encode_fixed
 from repro.core.multipass import MultipassAlgorithm, MultipassRingAlgorithm
+from repro.core.regular_onepass import OnePassTransducer, TransducerRingAlgorithm
 from repro.errors import ProtocolError
 from repro.languages.regular import TradeoffLanguage
-from repro.ring.messages import Direction, Send
-from repro.ring.processor import Processor, RingAlgorithm
 
 __all__ = [
     "TwoPassTradeoffRecognizer",
@@ -117,66 +114,28 @@ class TwoPassTradeoffRecognizer(MultipassRingAlgorithm):
         return two_pass_bits(self.language.k, n)
 
 
-class _OnePassLeader(Processor):
-    def __init__(self, letter: str, algorithm: "OnePassTradeoffRecognizer") -> None:
-        super().__init__(letter, is_leader=True)
-        self._algorithm = algorithm
+class _OnePassTradeoff(OnePassTransducer):
+    """The one-pass algorithm as a :class:`OnePassTransducer`.
 
-    def on_start(self) -> Iterable[Send]:
-        alg = self._algorithm
-        parities = [0] * alg.modulus
-        index = alg.alphabet.index(self.letter)
-        if index < alg.modulus:
-            parities[index] ^= 1
-        return [Send.cw(alg.encode(1 % alg.modulus, parities))]
-
-    def on_receive(self, message: Bits, arrived_from: Direction) -> Iterable[Send]:
-        count, parities = self._algorithm.decode(message)
-        self.decide(parities[count] == 0)
-        return ()
-
-
-class _OnePassFollower(Processor):
-    """Works on the message's packed integer: the count is the high ``k``
-    bits and parity ``i`` is bit ``modulus - 1 - i`` from the low end, so
-    a step is one shift, one mask and one XOR (the same bits
-    :meth:`OnePassTradeoffRecognizer.decode` and ``encode`` would give)."""
-
-    def __init__(self, letter: str, algorithm: "OnePassTradeoffRecognizer") -> None:
-        super().__init__(letter, is_leader=False)
-        self._algorithm = algorithm
-        modulus = algorithm.modulus
-        self._width = algorithm.k + modulus
-        index = algorithm.alphabet.index(letter)
-        self._flip = 1 << (modulus - 1 - index) if index < modulus else 0
-
-    def on_receive(self, message: Bits, arrived_from: Direction) -> Iterable[Send]:
-        alg = self._algorithm
-        if len(message) != self._width:
-            alg.decode(message)  # raises the codec's length error
-        modulus = alg.modulus
-        value = message.to_int()
-        count = ((value >> modulus) + 1) % modulus
-        parities = (value ^ self._flip) & ((1 << modulus) - 1)
-        return [Send.cw(encode_fixed(count << modulus | parities, self._width))]
-
-
-class OnePassTradeoffRecognizer(RingAlgorithm):
-    """The one-pass §7(5) recognizer: all candidate parities in flight.
-
-    Message format: ``k`` bits of length count mod ``2^k - 1``, then one
-    parity bit per candidate target ``sigma_0 .. sigma_{2^k - 2}`` —
-    ``k + 2^k - 1`` bits per message, the paper's exact figure.  (Letters
-    ``sigma_i`` with ``i >= 2^k - 1`` can never be the target, so their
-    parities are not tracked.)
+    The relay works on the message's packed integer: the count is the
+    high ``k`` bits and parity ``i`` is bit ``modulus - 1 - i`` from the
+    low end, so a step is one shift, one mask and one XOR (the same bits
+    :meth:`decode` and :meth:`encode` would give).
     """
 
     def __init__(self, language: TradeoffLanguage) -> None:
-        super().__init__(language.alphabet)
         self.language = language
         self.k = language.k
         self.modulus = language.modulus
-        self.name = f"tradeoff-1pass(k={language.k})"
+        self._width = self.k + self.modulus
+        self._flip = {
+            letter: 1 << (self.modulus - 1 - index) if index < self.modulus else 0
+            for index, letter in enumerate(language.alphabet)
+        }
+
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        return self.language.alphabet
 
     def encode(self, count: int, parities: list[int]) -> Bits:
         """count (k bits) then one parity bit per candidate target."""
@@ -192,11 +151,52 @@ class OnePassTradeoffRecognizer(RingAlgorithm):
         reader.expect_exhausted()
         return count, parities
 
+    def initial_message(self, leader_letter: str) -> Bits:
+        modulus = self.modulus
+        return encode_fixed(
+            (1 % modulus) << modulus | self._flip[leader_letter], self._width
+        )
+
+    def relay(self, letter: str, incoming: Bits) -> Bits:
+        if len(incoming) != self._width:
+            self.decode(incoming)  # raises the codec's length error
+        modulus = self.modulus
+        value = incoming.to_int()
+        count = ((value >> modulus) + 1) % modulus
+        parities = (value ^ self._flip[letter]) & ((1 << modulus) - 1)
+        return encode_fixed(count << modulus | parities, self._width)
+
+    def decide(self, leader_letter: str, final: Bits) -> bool:
+        count, parities = self.decode(final)
+        return parities[count] == 0
+
+
+class OnePassTradeoffRecognizer(TransducerRingAlgorithm):
+    """The one-pass §7(5) recognizer: all candidate parities in flight.
+
+    Message format: ``k`` bits of length count mod ``2^k - 1``, then one
+    parity bit per candidate target ``sigma_0 .. sigma_{2^k - 2}`` —
+    ``k + 2^k - 1`` bits per message, the paper's exact figure.  (Letters
+    ``sigma_i`` with ``i >= 2^k - 1`` can never be the target, so their
+    parities are not tracked.)
+    """
+
+    def __init__(self, language: TradeoffLanguage) -> None:
+        super().__init__(
+            _OnePassTradeoff(language), name=f"tradeoff-1pass(k={language.k})"
+        )
+        self.language = language
+        self.k = language.k
+        self.modulus = language.modulus
+
+    def encode(self, count: int, parities: list[int]) -> Bits:
+        """count (k bits) then one parity bit per candidate target."""
+        return self.transducer.encode(count, parities)
+
+    def decode(self, message: Bits) -> tuple[int, list[int]]:
+        """Inverse of :meth:`encode`."""
+        return self.transducer.decode(message)
+
     def predicted_bits(self, n: int) -> int:
         """``(k + 2^k - 1) n`` exactly."""
         return one_pass_bits(self.k, n)
-
-    def create_processor(self, letter: str, is_leader: bool) -> Processor:
-        if is_leader:
-            return _OnePassLeader(letter, self)
-        return _OnePassFollower(letter, self)

@@ -13,7 +13,11 @@ Theorem 2's message graph analyzes: any one-pass algorithm is a triple
 (initial message from the leader's letter, per-letter relay function,
 leader decision from the final message).  :class:`TransducerRingAlgorithm`
 adapts a transducer back into a ring algorithm so both directions of the
-regular-iff-linear-bits equivalence are executable.
+regular-iff-linear-bits equivalence are executable: a ``trace="metrics"``
+unidirectional run walks the word through its
+:meth:`~TransducerRingAlgorithm.relay_program`, and every other run
+(full traces, the bidirectional ring) goes through its leader/follower
+processors, which are also the walk's test oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro.automata.minimize import minimize
 from repro.bits import Bits, decode_fixed, encode_fixed, fixed_width_for
 from repro.errors import ProtocolError
 from repro.ring.messages import Direction, Send
-from repro.ring.processor import Processor, RingAlgorithm
+from repro.ring.processor import Processor, RelayProgram, RingAlgorithm
 
 __all__ = ["OnePassTransducer", "TransducerRingAlgorithm", "DFARecognizer"]
 
@@ -58,7 +62,11 @@ class OnePassTransducer(ABC):
 
 
 class _TransducerLeader(Processor):
-    """Leader processor executing a one-pass transducer."""
+    """Leader processor executing a one-pass transducer.
+
+    With :class:`_TransducerFollower`, the full-trace path and the oracle
+    of the relay walk (:meth:`TransducerRingAlgorithm.relay_program`).
+    """
 
     def __init__(self, transducer: OnePassTransducer, letter: str) -> None:
         super().__init__(letter, is_leader=True)
@@ -101,6 +109,24 @@ class TransducerRingAlgorithm(RingAlgorithm):
         if is_leader:
             return _TransducerLeader(self.transducer, letter)
         return _TransducerFollower(self.transducer, letter)
+
+    def relay_program(self) -> RelayProgram:
+        """One pass: the transducer's relay at each follower, no memory."""
+        transducer = self.transducer
+        initial_message = transducer.initial_message
+        relay = transducer.relay
+        decide = transducer.decide
+
+        def start(letter: str) -> tuple[None, Bits]:
+            return None, initial_message(letter)
+
+        def step(letter: str, memory: None, incoming: Bits) -> tuple[None, Bits]:
+            return None, relay(letter, incoming)
+
+        def pass_end(letter: str, memory: None, final: Bits) -> tuple:
+            return None, None, decide(letter, final)
+
+        return RelayProgram(start, step, pass_end)
 
 
 class _DFATransducer(OnePassTransducer):

@@ -1,23 +1,46 @@
 """Delivery engines for the asynchronous simulators.
 
-The unidirectional ring, the bidirectional ring and the line network all
-hand their processors to :func:`execute`.  The scheduler alone picks the
-engine; the trace policy picks only the sink.  There are two engines:
+There are three engines, and the run alone picks one — no flag, no
+environment variable:
 
+* the **relay walk** (:func:`run_relay`) runs a ``trace="metrics"``
+  unidirectional run whose algorithm declares a
+  :class:`~repro.ring.processor.RelayProgram`;
+* the **round-batched sweep** (:func:`run_round_batched`) runs every
+  other unidirectional run, and every bidirectional or line run whose
+  scheduler is ``round_batchable``;
+* the **chooser loop** (:func:`run_chooser`) runs every other
+  scheduler.
+
+The unidirectional ring, the bidirectional ring and the line network
+hand their processors to :func:`execute`, which picks between the sweep
+and the chooser loop by the scheduler alone; the trace policy picks only
+the sink.  The unidirectional ring calls :func:`run_relay` itself.
+
+* **Relay walk** — a single-token unidirectional algorithm (Theorem 1's
+  one-pass recognizers, the §7(5) multipass ones) is a function of the
+  word: pass by pass the leader's message visits ``p_1 .. p_{n-1}`` in
+  order.  The walk applies the algorithm's step at each position, with
+  per-node memory in one list, and folds the sweep's
+  :class:`~repro.ring.trace.TraceStats` counters directly.  No
+  processor objects, no :class:`Send` and no list per message.  Full
+  traces do not walk: they need the events and local logs the
+  processors produce, and those processors are the walk's oracle
+  (``tests/test_relay_walk.py``).
 * **Round-batched sweep** (:func:`run_round_batched`) — for a
   ``round_batchable`` scheduler (pure global-FIFO, never needs its
   ``choose`` consulted — true of the default :class:`FifoScheduler`)
-  and for the unidirectional ring, which has no scheduler: its unique
-  execution is global FIFO by definition.  Under global FIFO the
-  delivery order *is* the enqueue-stamp order: each link queue is FIFO,
-  so every queue head is its queue's minimum stamp, and the globally
-  oldest head is the globally oldest in-flight message.  The protocols
-  are therefore round-structured — every message enqueued before a
-  round boundary is delivered before any message it causes — and the
-  engine sweeps whole rounds at a time over packed parallel lists (an
-  int code ``sender << 1 | is_cw`` next to the payload), folding the
-  :class:`~repro.ring.trace.TraceStats` counters into flat local tables
-  written back once at quiescence.  No per-queue dict hashing, no
+  and for the unidirectional ring's other runs, which have no
+  scheduler: their unique execution is global FIFO by definition.
+  Under global FIFO the delivery order *is* the enqueue-stamp order:
+  each link queue is FIFO, so every queue head is its queue's minimum
+  stamp, and the globally oldest head is the globally oldest in-flight
+  message.  The protocols are therefore round-structured — every
+  message enqueued before a round boundary is delivered before any
+  message it causes — and the engine sweeps whole rounds at a time over
+  packed parallel lists (an int code ``sender << 1 | is_cw`` next to the
+  payload), folding the :class:`~repro.ring.trace.TraceStats` counters
+  into flat local tables written back once at quiescence.  No per-queue dict hashing, no
   ``Scheduler.choose`` call, no per-message method dispatch: one tight
   loop per round.
 * **Chooser loop** (:func:`run_chooser`) — every other scheduler
@@ -30,18 +53,19 @@ engine; the trace policy picks only the sink.  There are two engines:
   list shift per delivery for q active queues, instead of re-sorting
   every active queue (O(q log q)) per delivery.
 
-Both engines run on one topology table (:class:`_Links`), validate
-sends the same way — raising each simulator's exact model-violation
-wording at enqueue time — and stream into :class:`TraceStats`.
+The sweep and the chooser loop run on one topology table
+(:class:`_Links`), validate sends the same way — raising each
+simulator's exact model-violation wording at enqueue time — and stream
+into :class:`TraceStats`.
 ``trace="full"`` wraps every processor in a recording layer
 (:class:`_Recorder`) that appends the :class:`MessageEvent` list and the
 local logs as the engine delivers, and takes ``max_in_flight`` from the
 counters; the engine never knows.
 
-Delivery order is identical on both engines under a global-FIFO
-scheduler: enqueue stamps are unique, so "first element of the sorted
-candidate list" and "next message of the current round sweep" name the
-same message.  A FIFO scheduler that declines batching therefore runs
+Delivery order is identical on the sweep and the chooser loop under a
+global-FIFO scheduler: enqueue stamps are unique, so "first element of
+the sorted candidate list" and "next message of the current round
+sweep" name the same message.  A FIFO scheduler that declines batching therefore runs
 the chooser loop as the sweep's oracle (``tests/test_delivery_batch.py``
 pins the equivalence, whole traces included).
 """
@@ -64,10 +88,16 @@ from repro.ring.trace import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ring.processor import Processor
+    from repro.ring.processor import Processor, RelayProgram
     from repro.ring.schedulers import Scheduler
 
-__all__ = ["LinkQueues", "execute", "run_chooser", "run_round_batched"]
+__all__ = [
+    "LinkQueues",
+    "execute",
+    "run_chooser",
+    "run_relay",
+    "run_round_batched",
+]
 
 
 def execute(
@@ -104,29 +134,47 @@ def execute(
             for index, processor in enumerate(processors)
         ]
     if scheduler is None or scheduler.round_batchable:
+        engine = "sweep"
         run_round_batched(
             engine_processors, n, leader, stats, max_messages, line, uni
         )
     else:
+        engine = "chooser"
         run_chooser(
             engine_processors, n, leader, stats, max_messages, scheduler, line
         )
     decision = processors[leader].decision
     if decision is None:
-        raise ProtocolError(
-            f"{'line execution' if line else 'execution'} of {name!r} on "
-            f"{word!r} quiesced without a leader decision"
-        )
+        raise _quiesce_error(name, word, line)
     if trace == "metrics":
         stats.decision = decision
+        stats.engine = engine
         return stats
     record.max_in_flight = stats.max_in_flight
     record.decision = decision
     return record
 
 
+def _cap_error(max_messages: int, n: int, line: bool) -> RingError:
+    """The error of a run that would deliver over ``max_messages``."""
+    if line:
+        return RingError(f"exceeded {max_messages} messages on a line of {n}")
+    return RingError(
+        f"exceeded {max_messages} messages on n={n}; "
+        "algorithm appears to diverge"
+    )
+
+
+def _quiesce_error(name: str, word: str, line: bool) -> ProtocolError:
+    """The error of a run that ends without a leader decision."""
+    return ProtocolError(
+        f"{'line execution' if line else 'execution'} of {name!r} on "
+        f"{word!r} quiesced without a leader decision"
+    )
+
+
 class _Links:
-    """One topology's per-code tables, shared by both engines.
+    """One topology's per-code tables, shared by the sweep and the chooser.
 
     A message is the int code ``sender << 1 | is_cw``; flat lists indexed
     by it replace dict hashing, modulo and direction branches in the
@@ -138,8 +186,6 @@ class _Links:
     """
 
     __slots__ = (
-        "n",
-        "line",
         "uni",
         "cw_code",
         "ccw_code",
@@ -151,8 +197,6 @@ class _Links:
     def __init__(
         self, processors: "Sequence[Processor]", n: int, line: bool, uni: bool
     ) -> None:
-        self.n = n
-        self.line = line
         self.uni = uni
         self.cw_code = list(range(1, 2 * n, 2))
         self.ccw_code = [-1] * n if uni else list(range(0, 2 * n, 2))
@@ -197,17 +241,6 @@ class _Links:
             )
         return ProtocolError(
             f"p_{sender} sent {send.direction} off the end of the line"
-        )
-
-    def cap_error(self, max_messages: int) -> RingError:
-        """The error of a run that would deliver over ``max_messages``."""
-        if self.line:
-            return RingError(
-                f"exceeded {max_messages} messages on a line of {self.n}"
-            )
-        return RingError(
-            f"exceeded {max_messages} messages on n={self.n}; "
-            "algorithm appears to diverge"
         )
 
     def write_back(
@@ -293,7 +326,7 @@ def run_round_batched(
 
     while codes:
         if delivered + len(codes) > max_messages:
-            raise links.cap_error(max_messages)
+            raise _cap_error(max_messages, n, line)
         next_codes: list[int] = []
         next_loads: list[Bits] = []
         append_code = next_codes.append
@@ -375,7 +408,7 @@ def run_chooser(
         if candidates is None:
             break
         if delivered >= max_messages:
-            raise links.cap_error(max_messages)
+            raise _cap_error(max_messages, n, line)
         chosen = choose(candidates)
         if not 0 <= chosen < len(candidates):
             raise RingError(
@@ -404,6 +437,77 @@ def run_chooser(
         delivered,
         pending.peak_in_flight,
     )
+
+
+def run_relay(
+    program: "RelayProgram", word: str, max_messages: int, name: str
+) -> TraceStats:
+    """Walk a single-token relay over ``word``; return its counters.
+
+    Pass by pass, the leader's message visits ``p_1 .. p_{n-1}``, each
+    applying ``program.step`` with its letter and its slot of one memory
+    list, and returns to the leader's ``program.pass_end`` (see
+    :class:`~repro.ring.processor.RelayProgram`).  This is the execution
+    the round-batched sweep runs through the algorithm's processors, and
+    the counters are the sweep's: every pass is n deliveries, ``p_i``'s
+    message crosses link ``i``, and one message is ever in flight.
+
+    Model checks match the sweep's: a non-:class:`Bits` message is
+    coerced where it is sent; the message cap raises the sweep's
+    :class:`RingError` just before delivery ``max_messages + 1`` (so a
+    step that raises earlier wins); and a pass end with neither a
+    decision nor a next message raises the sweep's quiesce error.
+    """
+    n = len(word)
+    start, step, pass_end, initial_memory = program
+    memory = [None] * n
+    if initial_memory is not None:
+        memory[1:] = [initial_memory() for _ in range(n - 1)]
+    leader_letter = word[0]
+    leader_memory, bits = start(leader_letter)
+    if bits.__class__ is not Bits:
+        bits = Bits(bits)
+    link_bits = [0] * n
+    pass_bits: list[int] = []
+    delivered = 0
+    while True:
+        # A pass is n deliveries: to p_1 .. p_{n-1}, then to the leader.
+        budget = max_messages - delivered
+        last = n - 1 if budget >= n else budget
+        size = bits._length
+        link_bits[0] += size
+        total = size
+        for i in range(1, last + 1):
+            memory[i], bits = step(word[i], memory[i], bits)
+            if bits.__class__ is not Bits:
+                bits = Bits(bits)
+            size = bits._length
+            link_bits[i] += size
+            total += size
+        if budget < n:
+            raise _cap_error(max_messages, n, False)
+        delivered += n
+        pass_bits.append(total)
+        leader_memory, bits, decision = pass_end(
+            leader_letter, leader_memory, bits
+        )
+        if decision is not None:
+            break
+        if bits is None:
+            raise _quiesce_error(name, word, False)
+        if bits.__class__ is not Bits:
+            bits = Bits(bits)
+
+    stats = TraceStats(word)
+    stats.total_bits = sum(pass_bits)
+    stats.message_count = delivered
+    stats.link_bits = link_bits
+    stats.sent_counts = [len(pass_bits)] * n
+    stats.pass_bits = pass_bits
+    stats.max_in_flight = 1
+    stats.decision = decision
+    stats.engine = "walk"
+    return stats
 
 
 class _Recorder:

@@ -12,6 +12,10 @@ accepts or rejects the pattern.  Correspondingly:
   construction must be used for every non-leader node, which the simulators
   cannot check directly but the factory signature encourages and the
   information-state machinery (Theorem 4) exploits.
+* :class:`RelayProgram` — the step form of a single-token unidirectional
+  algorithm, which an algorithm may declare through
+  :meth:`RingAlgorithm.relay_program` so the unidirectional ring can walk
+  the word instead of building processors.
 
 Processors communicate *only* by returning :class:`~repro.ring.messages.Send`
 requests from their handlers; they have no access to ``n`` or to the global
@@ -21,13 +25,13 @@ ring state, faithfully to the model.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.bits import Bits
 from repro.errors import ProtocolError
 from repro.ring.messages import Direction, Send
 
-__all__ = ["Processor", "LeaderMixin", "RingAlgorithm"]
+__all__ = ["Processor", "LeaderMixin", "RingAlgorithm", "RelayProgram"]
 
 
 class Processor(ABC):
@@ -97,6 +101,32 @@ class LeaderMixin:
     """Marker mixin for leader-specific processor classes (documentation aid)."""
 
 
+class RelayProgram(NamedTuple):
+    """A single-token unidirectional algorithm in step form.
+
+    Each pass starts with the leader emitting one message, which every
+    follower ``p_1 .. p_{n-1}`` in turn maps to one outgoing message;
+    the leader then decides or starts the next pass.  Memory is per
+    node and persists across passes.
+
+    * ``start(letter) -> (memory, message)`` — the leader's memory and
+      first message;
+    * ``step(letter, memory, incoming) -> (memory, outgoing)`` — one
+      follower delivery;
+    * ``pass_end(letter, memory, incoming) -> (memory, message,
+      decision)`` — the delivery closing a pass: a decision that is not
+      None ends the run, otherwise ``message`` starts the next pass, and
+      neither ends the run undecided;
+    * ``initial_memory() -> memory`` — a fresh follower's memory, or
+      None when every follower starts with None (which saves n calls).
+    """
+
+    start: Callable[[str], "tuple[Any, Bits]"]
+    step: Callable[[str, Any, Bits], "tuple[Any, Bits]"]
+    pass_end: Callable[[str, Any, Bits], "tuple[Any, Bits | None, Any]"]
+    initial_memory: "Callable[[], Any] | None" = None
+
+
 class RingAlgorithm(ABC):
     """Factory for the processors of one distributed algorithm.
 
@@ -130,6 +160,17 @@ class RingAlgorithm(ABC):
         paid for by the paper's uncounted setup message).
         """
         return self.create_processor(letter, is_leader)
+
+    def relay_program(self) -> RelayProgram | None:
+        """The algorithm's step form, if it is a single-token relay.
+
+        An algorithm whose processors are a single-token unidirectional
+        relay may return a :class:`RelayProgram` describing exactly the
+        same execution; the unidirectional ring then walks the word
+        instead of building processors for a ``trace="metrics"`` run.
+        The default, None, keeps every run on the processors.
+        """
+        return None
 
     def validate_word(self, word: str) -> None:
         """Raise :class:`ProtocolError` if ``word`` uses foreign letters."""

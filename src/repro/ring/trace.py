@@ -268,6 +268,11 @@ class TraceStats:
     materializes :class:`MessageEvent` objects or per-processor logs.
     Message-level consumers (information states, message graphs, the
     Theorem 5 / token transformations) need ``trace="full"``.
+
+    ``engine`` names the delivery engine that produced the counters
+    (``"sweep"``, ``"chooser"`` or ``"walk"``; see
+    :mod:`repro.ring.delivery`), or None for counters derived from a
+    full trace.  It is provenance, not part of the execution.
     """
 
     __slots__ = (
@@ -280,6 +285,7 @@ class TraceStats:
         "pass_bits",
         "max_in_flight",
         "decision",
+        "engine",
     )
 
     def __init__(self, word: str, leader: int = 0) -> None:
@@ -292,6 +298,7 @@ class TraceStats:
         self.pass_bits: list[int] = []
         self.max_in_flight = 0
         self.decision: bool | None = None
+        self.engine: str | None = None
 
     @property
     def ring_size(self) -> int:

@@ -16,28 +16,43 @@ The simulator enforces the model:
 
 Scheduling model and complexity
 -------------------------------
-No scheduler: the unique execution is global FIFO, which is exactly
-the round-batched sweep's delivery order
-(:func:`~repro.ring.delivery.run_round_batched` with ``uni=True``:
-each round's messages precede everything they cause).  The sweep
-raises the CCW-send model violation at enqueue time in this
-simulator's wording.  Each delivery costs O(1) simulator overhead on
-top of the handler's own work, so an m-message execution is O(m)
-simulator time.
+No scheduler: the unique execution is global FIFO.  The ring picks its
+engine (:mod:`repro.ring.delivery`) by itself:
+
+* **Relay walk** (:func:`~repro.ring.delivery.run_relay`) — a
+  ``trace="metrics"`` run of an algorithm that declares a single-token
+  program (:meth:`~repro.ring.processor.RingAlgorithm.relay_program`:
+  one-pass transducers and multipass algorithms) walks the word pass by
+  pass, applying the algorithm's step at each position.  No processor
+  objects, no :class:`~repro.ring.messages.Send` per message; an
+  m-message run is m step calls plus O(n) setup.
+* **Round-batched sweep** (:func:`~repro.ring.delivery.run_round_batched`
+  with ``uni=True``) — every other run: full traces, and hand-written
+  processor pairs on either policy.  Global FIFO is exactly the sweep's
+  delivery order (each round's messages precede everything they cause);
+  the sweep raises the CCW-send model violation at enqueue time in this
+  simulator's wording.  Each delivery costs O(1) simulator overhead on
+  top of the handler's own work, so an m-message execution is O(m)
+  simulator time.
+
+The two engines agree counter for counter, in the message cap and in
+the model errors (``tests/test_relay_walk.py``).  ``processors`` is
+built on first use, so a walked run builds none.
 
 Trace modes: ``run(trace="full")`` (default) materializes an
 :class:`~repro.ring.trace.ExecutionTrace` (O(m) events + local logs);
 ``run(trace="metrics")`` streams the same accounting into an O(n)-memory
 :class:`~repro.ring.trace.TraceStats`.  Counter-only sweeps (E1, E7-E11
-and the ``--preset long`` workloads) use metrics mode.  Both modes run
-the same sweep; a full trace is recorded by wrapping the processors
-(:func:`~repro.ring.delivery.execute`).
+and the ``--preset long`` workloads) use metrics mode.  A full trace is
+recorded by wrapping the processors on the sweep
+(:func:`~repro.ring.delivery.execute`), because event-level consumers
+need the messages and local logs the walk never builds.
 """
 
 from __future__ import annotations
 
 from repro.errors import RingError
-from repro.ring.delivery import execute
+from repro.ring.delivery import execute, run_relay
 from repro.ring.processor import Processor, RingAlgorithm
 from repro.ring.trace import ExecutionTrace, TracePolicy, TraceStats
 
@@ -59,12 +74,23 @@ class UnidirectionalRing:
         algorithm.validate_word(word)
         self.algorithm = algorithm
         self.word = word
-        self.processors: list[Processor] = [
-            algorithm.create_processor_positioned(
-                letter, is_leader=(index == 0), index=index, size=len(word)
-            )
-            for index, letter in enumerate(word)
-        ]
+        self._processors: list[Processor] | None = None
+
+    @property
+    def processors(self) -> list[Processor]:
+        """One processor per node, built on first use.
+
+        A walked run neither builds nor drives them.
+        """
+        if self._processors is None:
+            word = self.word
+            self._processors = [
+                self.algorithm.create_processor_positioned(
+                    letter, is_leader=(index == 0), index=index, size=len(word)
+                )
+                for index, letter in enumerate(word)
+            ]
+        return self._processors
 
     def run(
         self,
@@ -78,8 +104,16 @@ class UnidirectionalRing:
         :class:`TraceStats` instead (same counter values, no per-message
         objects).  Raises :class:`ProtocolError` on model violations and
         :class:`RingError` if ``max_messages`` is exceeded (diverging
-        algorithm).
+        algorithm).  A metrics run of an algorithm with a
+        :meth:`~RingAlgorithm.relay_program` walks the word instead of
+        running processors.
         """
+        if trace == "metrics":
+            program = self.algorithm.relay_program()
+            if program is not None:
+                return run_relay(
+                    program, self.word, max_messages, self.algorithm.name
+                )
         return execute(
             self.processors,
             self.word,

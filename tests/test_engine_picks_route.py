@@ -1,24 +1,39 @@
 """The engine picks its own route; no environment variable overrides it.
 
-Two routes reach every bit count: the round-batched sweep or the
-chooser loop, and divided cells or monolithic ones.  The engine
-chooses by itself — a run sweeps if and only if its scheduler is
-``round_batchable`` (whatever its trace policy), and a campaign splits
-every divisible cell.  The two variables that once forced the
-other route, ``REPRO_NO_SPLIT`` and ``REPRO_NO_ROUND_BATCH``, are set
-here to prove that nothing reads them any more: a store rendered with
-or without them is the same site.
+Two routes reach every bit count: the relay walk, the round-batched
+sweep or the chooser loop, and divided cells or monolithic ones.  The
+engine chooses by itself — a ``trace="metrics"`` unidirectional run of
+an algorithm with a relay program walks, any other run sweeps if and
+only if its scheduler is ``round_batchable`` (whatever its trace
+policy), and a campaign splits every divisible cell.  Each metrics run
+names its engine in ``TraceStats.engine``, so a silent fallback fails
+here.  The two variables that once forced the other route,
+``REPRO_NO_SPLIT`` and ``REPRO_NO_ROUND_BATCH``, are set here to prove
+that nothing reads them any more: a store rendered with or without them
+is the same site.
 """
 
 from __future__ import annotations
 
+import random
 from functools import partial
 
 import pytest
 
+from repro.core import CopyRecognizer, DFARecognizer, HierarchyRecognizer
+from repro.core.passes_tradeoff import (
+    OnePassTradeoffRecognizer,
+    TwoPassTradeoffRecognizer,
+)
+from repro.core.regular_onepass import TransducerRingAlgorithm
 from repro.dashboard import build_dashboard
 from repro.experiments import RunProfile, get_spec
-from repro.ring.schedulers import FifoScheduler
+from repro.experiments.e02_message_graph import CountingTransducer
+from repro.languages import parity_language
+from repro.languages.hierarchy import STANDARD_GROWTHS, PeriodicLanguage
+from repro.languages.regular import tradeoff_language
+from repro.ring import UnidirectionalRing, run_bidirectional, run_unidirectional
+from repro.ring.schedulers import FifoScheduler, RandomScheduler
 from repro.runner import RunStore, execute_campaign
 from test_delivery_batch import (
     _run_chaos_bidi,
@@ -118,3 +133,60 @@ def test_dashboard_ignores_retired_variables(monkeypatch, tmp_path):
     assert list(plain) == list(with_vars)
     for name in plain:
         assert plain[name] == with_vars[name], name
+
+
+def _walkers():
+    tradeoff = tradeoff_language(2)
+    return [
+        (DFARecognizer(parity_language().dfa), "abba"),
+        (TransducerRingAlgorithm(CountingTransducer()), "abab"),
+        (OnePassTradeoffRecognizer(tradeoff), "0123"),
+        (TwoPassTradeoffRecognizer(tradeoff), "0123"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_relay_programs_walk_on_metrics(index, monkeypatch):
+    """A transducer or multipass metrics run walks and builds no processor."""
+    algorithm, word = _walkers()[index]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walked run built a processor")
+
+    monkeypatch.setattr(algorithm, "create_processor_positioned", refuse)
+    assert run_unidirectional(algorithm, word, trace="metrics").engine == "walk"
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_full_traces_of_relay_programs_sweep(index, monkeypatch):
+    """Full traces need events, so they keep the processors on the sweep."""
+    import repro.ring.unidirectional as unidirectional
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full trace took the walk")
+
+    monkeypatch.setattr(unidirectional, "run_relay", refuse)
+    algorithm, word = _walkers()[index]
+    ring = UnidirectionalRing(algorithm, word)
+    trace = ring.run(trace="full")
+    assert ring.processors[0].decision is trace.decision is not None
+
+
+def test_hand_written_pairs_sweep():
+    language = PeriodicLanguage(STANDARD_GROWTHS[0])
+    word = language.sample_member(8, random.Random(1))
+    for algorithm, ring_word in (
+        (HierarchyRecognizer(language), word),
+        (CopyRecognizer(), "abcab"),
+    ):
+        stats = run_unidirectional(algorithm, ring_word, trace="metrics")
+        assert stats.engine == "sweep"
+
+
+def test_bidirectional_runs_keep_their_engine():
+    algorithm = DFARecognizer(parity_language().dfa)
+    fifo = run_bidirectional(algorithm, "abba", FifoScheduler(), trace="metrics")
+    chosen = run_bidirectional(
+        algorithm, "abba", RandomScheduler(seed=1), trace="metrics"
+    )
+    assert (fifo.engine, chosen.engine) == ("sweep", "chooser")
