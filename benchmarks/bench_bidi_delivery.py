@@ -1,6 +1,7 @@
 """Benchmarks for the bidirectional delivery engines: sweep vs chooser.
 
-The scheduler alone picks one of two engines (see
+For a hand-written processor pair such as the echo flood below, the
+scheduler alone picks one of two engines (see
 ``repro/ring/delivery.py``):
 
 * **round-batched sweep** — the default FIFO scheduler, on either trace
@@ -14,7 +15,10 @@ The scheduler alone picks one of two engines (see
 
 Every timed path first asserts identical accounting (bits, message
 count, peak in-flight) against the others — same delivery order by
-construction.  Run with ``pytest benchmarks/bench_bidi_delivery.py``.
+construction.  A single-token relay program (Theorem 6's DFA
+recognizer) takes neither: its metrics runs walk the word, and the
+sequential bench asserts that route.  Run with
+``pytest benchmarks/bench_bidi_delivery.py``.
 """
 
 from __future__ import annotations
@@ -169,9 +173,15 @@ def bench_flood_sorted_path(benchmark):
 
 
 def bench_sequential_batch_overhead(benchmark):
-    """q=1 workload: the batch engine must not tax sequential algorithms."""
+    """q=1 workload: a sequential recognizer's metrics run on the relay walk.
+
+    Theorem 6's DFA recognizer declares a relay program, so under the
+    default FIFO it walks the word instead of taking the batch engine;
+    the assertion fails if the route silently changes.
+    """
     result = benchmark(_run_sequential)
     assert result.decision is True
+    assert result.engine == "walk"
 
 
 def _run_sequential():

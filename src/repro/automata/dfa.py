@@ -148,8 +148,14 @@ class DFA:
     def run(self, word: str, start: State | None = None) -> State:
         """State reached from ``start`` (default: initial state) on ``word``."""
         state = self.start if start is None else start
+        transitions = self.transitions
         for symbol in word:
-            state = self.step(state, symbol)
+            try:
+                state = transitions[(state, symbol)]
+            except KeyError:
+                raise AutomatonError(
+                    f"symbol {symbol!r} not in alphabet {self.alphabet!r}"
+                ) from None
         return state
 
     def accepts(self, word: str) -> bool:

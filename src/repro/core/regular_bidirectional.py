@@ -8,6 +8,13 @@ E1 experiment can run it through :class:`~repro.ring.bidirectional.
 BidirectionalRing` under every scheduler and observe the identical
 ``ceil(log2 |Q|) * n`` cost (a one-message-in-flight algorithm is
 scheduler-invariant, which the tests check explicitly).
+
+The simulator uses that invariance the same way the proof does: a
+``trace="metrics"`` run walks the word through the inherited relay
+program under every scheduler, exactly as the unidirectional ring does,
+and asks a non-FIFO scheduler once per delivery so its state matches
+the chooser loop's (``tests/test_relay_walk.py``).  Full traces still
+run the processors.
 """
 
 from __future__ import annotations

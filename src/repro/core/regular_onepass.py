@@ -14,10 +14,11 @@ Theorem 2's message graph analyzes: any one-pass algorithm is a triple
 leader decision from the final message).  :class:`TransducerRingAlgorithm`
 adapts a transducer back into a ring algorithm so both directions of the
 regular-iff-linear-bits equivalence are executable: a ``trace="metrics"``
-unidirectional run walks the word through its
-:meth:`~TransducerRingAlgorithm.relay_program`, and every other run
-(full traces, the bidirectional ring) goes through its leader/follower
-processors, which are also the walk's test oracle.
+run on either ring walks the word through its
+:meth:`~TransducerRingAlgorithm.relay_program`, and every full trace goes
+through its leader/follower processors, which are also the walk's test
+oracle.  Theorem 1's relay is a table lookup: per letter, a list from
+state index to the encoded next state.
 """
 
 from __future__ import annotations
@@ -141,6 +142,18 @@ class _DFATransducer(OnePassTransducer):
         }
         self._states_by_index = {v: k for k, v in self._order.items()}
         self._width = fixed_width_for(len(dfa.states))
+        # The relay's table: per letter, state index -> encoded next
+        # state, padded with None up to 2**width for the indices that
+        # name no state.
+        self._next: dict[str, list[Bits | None]] = {
+            letter: [
+                self._encode(dfa.step(self._states_by_index[index], letter))
+                if index in self._states_by_index
+                else None
+                for index in range(1 << self._width)
+            ]
+            for letter in dfa.alphabet
+        }
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -164,6 +177,19 @@ class _DFATransducer(OnePassTransducer):
         return self._encode(self._dfa.step(self._dfa.start, leader_letter))
 
     def relay(self, letter: str, incoming: Bits) -> Bits:
+        """Two lookups; anything the table cannot answer keeps its error.
+
+        A message of the wrong width, one naming no state, a foreign
+        letter or a non-:class:`Bits` message takes the decode and
+        :meth:`DFA.step` path, which raises the exact error.
+        """
+        try:
+            if incoming._length == self._width:
+                encoded = self._next[letter][incoming._value]
+                if encoded is not None:
+                    return encoded
+        except (AttributeError, KeyError):
+            pass
         return self._encode(self._dfa.step(self._decode(incoming), letter))
 
     def decide(self, leader_letter: str, final: Bits) -> bool:

@@ -4,26 +4,31 @@ There are three engines, and the run alone picks one — no flag, no
 environment variable:
 
 * the **relay walk** (:func:`run_relay`) runs a ``trace="metrics"``
-  unidirectional run whose algorithm declares a
-  :class:`~repro.ring.processor.RelayProgram`;
+  run, on either ring and under any scheduler, whose algorithm
+  declares a :class:`~repro.ring.processor.RelayProgram`;
 * the **round-batched sweep** (:func:`run_round_batched`) runs every
-  other unidirectional run, and every bidirectional or line run whose
-  scheduler is ``round_batchable``;
+  other unidirectional run, and every other bidirectional or line run
+  whose scheduler is ``round_batchable``;
 * the **chooser loop** (:func:`run_chooser`) runs every other
   scheduler.
 
-The unidirectional ring, the bidirectional ring and the line network
-hand their processors to :func:`execute`, which picks between the sweep
-and the chooser loop by the scheduler alone; the trace policy picks only
-the sink.  The unidirectional ring calls :func:`run_relay` itself.
+Both rings apply the walk rule themselves (one shared base class), and
+hand every other run's processors to :func:`execute`, as the line
+network does; :func:`execute` picks between the sweep and the chooser
+loop by the scheduler alone, and the trace policy picks only the sink.
 
-* **Relay walk** — a single-token unidirectional algorithm (Theorem 1's
-  one-pass recognizers, the §7(5) multipass ones) is a function of the
-  word: pass by pass the leader's message visits ``p_1 .. p_{n-1}`` in
-  order.  The walk applies the algorithm's step at each position, with
+* **Relay walk** — a single-token algorithm (Theorem 1's one-pass
+  recognizers, the §7(5) multipass ones) is a function of the word:
+  pass by pass the leader's message visits ``p_1 .. p_{n-1}`` in order,
+  always CW, and with one message in flight every scheduler sees the
+  same execution (Theorem 6 "follows immediately from Theorem 1").
+  The walk applies the algorithm's step at each position, with
   per-node memory in one list, and folds the sweep's
   :class:`~repro.ring.trace.TraceStats` counters directly.  No
-  processor objects, no :class:`Send` and no list per message.  Full
+  processor objects, no :class:`Send` and no list per message.  A
+  scheduler that is not ``round_batchable`` is still asked once per
+  delivery, with the one-element candidate list the chooser loop would
+  give it, so its state after the run is the chooser loop's.  Full
   traces do not walk: they need the events and local logs the
   processors produce, and those processors are the walk's oracle
   (``tests/test_relay_walk.py``).
@@ -162,6 +167,13 @@ def _cap_error(max_messages: int, n: int, line: bool) -> RingError:
     return RingError(
         f"exceeded {max_messages} messages on n={n}; "
         "algorithm appears to diverge"
+    )
+
+
+def _choice_error(chosen: int, count: int) -> RingError:
+    """The error of a scheduler choosing outside its candidate list."""
+    return RingError(
+        f"scheduler chose index {chosen} out of {count} candidates"
     )
 
 
@@ -411,10 +423,7 @@ def run_chooser(
             raise _cap_error(max_messages, n, line)
         chosen = choose(candidates)
         if not 0 <= chosen < len(candidates):
-            raise RingError(
-                f"scheduler chose index {chosen} out of "
-                f"{len(candidates)} candidates"
-            )
+            raise _choice_error(chosen, len(candidates))
         code = candidates[chosen]
         bits = pending.pop(code)
         size = bits._length
@@ -440,7 +449,11 @@ def run_chooser(
 
 
 def run_relay(
-    program: "RelayProgram", word: str, max_messages: int, name: str
+    program: "RelayProgram",
+    word: str,
+    max_messages: int,
+    name: str,
+    scheduler: "Scheduler | None" = None,
 ) -> TraceStats:
     """Walk a single-token relay over ``word``; return its counters.
 
@@ -457,8 +470,14 @@ def run_relay(
     :class:`RingError` just before delivery ``max_messages + 1`` (so a
     step that raises earlier wins); and a pass end with neither a
     decision nor a next message raises the sweep's quiesce error.
+
+    A ``scheduler`` that is not ``round_batchable`` is asked before
+    every delivery, as :func:`run_chooser` would ask it (see
+    :func:`_asking`); the walk is the chooser loop's execution too.
     """
     n = len(word)
+    if scheduler is not None and not scheduler.round_batchable:
+        program = _asking(program, scheduler, n)
     start, step, pass_end, initial_memory = program
     memory = [None] * n
     if initial_memory is not None:
@@ -508,6 +527,42 @@ def run_relay(
     stats.decision = decision
     stats.engine = "walk"
     return stats
+
+
+def _asking(
+    program: "RelayProgram", scheduler: "Scheduler", n: int
+) -> "RelayProgram":
+    """``program`` with ``scheduler`` asked before each delivery.
+
+    With one message in flight the chooser loop's candidate list is the
+    single code ``2*sender + 1`` (CW out of the sender), a fresh list
+    per delivery.  A pass's steps are sent by ``p_0 .. p_{n-2}`` and its
+    pass end by ``p_{n-1}``.  The walk calls a step only for a delivery
+    under the cap, so the scheduler is asked exactly when the chooser
+    loop would ask it: after the cap check and before the handler.
+    """
+    step, pass_end = program.step, program.pass_end
+    choose = scheduler.choose
+    last_code = 2 * n - 1
+    code = 1
+
+    def asked_step(letter: str, memory, incoming: Bits) -> tuple:
+        nonlocal code
+        chosen = choose([code])
+        if not 0 <= chosen < 1:
+            raise _choice_error(chosen, 1)
+        code += 2
+        return step(letter, memory, incoming)
+
+    def asked_pass_end(letter: str, memory, incoming: Bits) -> tuple:
+        nonlocal code
+        chosen = choose([last_code])
+        if not 0 <= chosen < 1:
+            raise _choice_error(chosen, 1)
+        code = 1
+        return pass_end(letter, memory, incoming)
+
+    return program._replace(step=asked_step, pass_end=asked_pass_end)
 
 
 class _Recorder:

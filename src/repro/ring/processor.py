@@ -12,10 +12,10 @@ accepts or rejects the pattern.  Correspondingly:
   construction must be used for every non-leader node, which the simulators
   cannot check directly but the factory signature encourages and the
   information-state machinery (Theorem 4) exploits.
-* :class:`RelayProgram` — the step form of a single-token unidirectional
-  algorithm, which an algorithm may declare through
-  :meth:`RingAlgorithm.relay_program` so the unidirectional ring can walk
-  the word instead of building processors.
+* :class:`RelayProgram` — the step form of a single-token algorithm,
+  which an algorithm may declare through
+  :meth:`RingAlgorithm.relay_program` so either ring can walk the word
+  instead of building processors.
 
 Processors communicate *only* by returning :class:`~repro.ring.messages.Send`
 requests from their handlers; they have no access to ``n`` or to the global
@@ -102,12 +102,14 @@ class LeaderMixin:
 
 
 class RelayProgram(NamedTuple):
-    """A single-token unidirectional algorithm in step form.
+    """A single-token algorithm in step form.
 
     Each pass starts with the leader emitting one message, which every
-    follower ``p_1 .. p_{n-1}`` in turn maps to one outgoing message;
-    the leader then decides or starts the next pass.  Memory is per
-    node and persists across passes.
+    follower ``p_1 .. p_{n-1}`` in turn maps to one outgoing message,
+    always CW; the leader then decides or starts the next pass.  Memory
+    is per node and persists across passes.  With one message in flight
+    the execution is the same on both rings and under every scheduler,
+    so either ring may walk it.
 
     * ``start(letter) -> (memory, message)`` — the leader's memory and
       first message;
@@ -164,11 +166,13 @@ class RingAlgorithm(ABC):
     def relay_program(self) -> RelayProgram | None:
         """The algorithm's step form, if it is a single-token relay.
 
-        An algorithm whose processors are a single-token unidirectional
-        relay may return a :class:`RelayProgram` describing exactly the
-        same execution; the unidirectional ring then walks the word
-        instead of building processors for a ``trace="metrics"`` run.
-        The default, None, keeps every run on the processors.
+        An algorithm whose processors are a single-token CW relay may
+        return a :class:`RelayProgram` describing exactly the same
+        execution; either ring then walks the word instead of building
+        processors for a ``trace="metrics"`` run, under every scheduler
+        (a scheduler that is not ``round_batchable`` is still asked once
+        per delivery).  The default, None, keeps every run on the
+        processors.
         """
         return None
 

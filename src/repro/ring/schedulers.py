@@ -10,9 +10,12 @@ interleaving-independent for the deterministic algorithms studied here
 Per-link FIFO is enforced by the simulator itself — schedulers only choose
 *among links* (each link-direction queue exposes only its head).
 
-The scheduler alone picks the delivery engine (:mod:`repro.ring.delivery`):
-a ``round_batchable`` one takes the round-batched sweep, any other the
-chooser loop.  The trace policy never changes the engine.
+For processor-driven runs the scheduler alone picks the delivery engine
+(:mod:`repro.ring.delivery`): a ``round_batchable`` one takes the
+round-batched sweep, any other the chooser loop, whatever the trace
+policy.  A ``trace="metrics"`` run of a single-token relay program walks
+the word instead, under every scheduler, and still asks a scheduler that
+is not ``round_batchable`` once per delivery.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ class Scheduler(ABC):
     sweep (:func:`repro.ring.delivery.run_round_batched`), which never
     calls ``choose`` at all — on either trace policy.  Any other
     scheduler is asked once per delivery by the chooser loop
-    (:func:`repro.ring.delivery.run_chooser`).  A subclass that
+    (:func:`repro.ring.delivery.run_chooser`), or by the relay walk
+    (:func:`repro.ring.delivery.run_relay`) with the same one-element
+    candidate list.  A subclass that
     overrides ``choose``, or a FIFO that observes its own ``choose``
     calls (counters, logging adversaries), must leave
     ``round_batchable`` False to keep seeing every delivery; under FIFO

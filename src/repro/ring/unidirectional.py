@@ -25,7 +25,9 @@ engine (:mod:`repro.ring.delivery`) by itself:
   one-pass transducers and multipass algorithms) walks the word pass by
   pass, applying the algorithm's step at each position.  No processor
   objects, no :class:`~repro.ring.messages.Send` per message; an
-  m-message run is m step calls plus O(n) setup.
+  m-message run is m step calls plus O(n) setup.  The rule and the
+  lazy processors live in :class:`_Ring`, which the bidirectional ring
+  shares.
 * **Round-batched sweep** (:func:`~repro.ring.delivery.run_round_batched`
   with ``uni=True``) — every other run: full traces, and hand-written
   processor pairs on either policy.  Global FIFO is exactly the sweep's
@@ -54,6 +56,7 @@ from __future__ import annotations
 from repro.errors import RingError
 from repro.ring.delivery import execute, run_relay
 from repro.ring.processor import Processor, RingAlgorithm
+from repro.ring.schedulers import Scheduler
 from repro.ring.trace import ExecutionTrace, TracePolicy, TraceStats
 
 __all__ = ["UnidirectionalRing", "run_unidirectional"]
@@ -61,11 +64,15 @@ __all__ = ["UnidirectionalRing", "run_unidirectional"]
 _DEFAULT_MESSAGE_CAP = 2_000_000
 
 
-class UnidirectionalRing:
-    """A ring of ``len(word)`` processors executing ``algorithm``.
+class _Ring:
+    """What both ring simulators share: the word, the processors, the rule.
 
-    ``word[i]`` is the letter of ``p_i``; ``p_0`` is the leader, so the
-    pattern read CW starting at the leader is exactly ``word``.
+    ``word[i]`` labels ``p_i``; ``p_0`` is the leader.  ``processors``
+    is built on first use, so a walked run builds none.  The rule
+    (:meth:`_run`): a ``trace="metrics"`` run of an algorithm with a
+    :meth:`~RingAlgorithm.relay_program` walks the word
+    (:func:`~repro.ring.delivery.run_relay`); every other run hands the
+    processors to :func:`~repro.ring.delivery.execute`.
     """
 
     def __init__(self, algorithm: RingAlgorithm, word: str) -> None:
@@ -92,6 +99,40 @@ class UnidirectionalRing:
             ]
         return self._processors
 
+    def _run(
+        self,
+        scheduler: Scheduler | None,
+        max_messages: int,
+        trace: TracePolicy,
+        uni: bool = False,
+    ) -> ExecutionTrace | TraceStats:
+        """Walk a metrics run of a relay program; execute any other run."""
+        algorithm = self.algorithm
+        if trace == "metrics":
+            program = algorithm.relay_program()
+            if program is not None:
+                return run_relay(
+                    program, self.word, max_messages, algorithm.name, scheduler
+                )
+        return execute(
+            self.processors,
+            self.word,
+            0,
+            scheduler,
+            max_messages,
+            trace,
+            algorithm.name,
+            uni=uni,
+        )
+
+
+class UnidirectionalRing(_Ring):
+    """A ring of ``len(word)`` processors executing ``algorithm``.
+
+    ``word[i]`` is the letter of ``p_i``; ``p_0`` is the leader, so the
+    pattern read CW starting at the leader is exactly ``word``.
+    """
+
     def run(
         self,
         max_messages: int = _DEFAULT_MESSAGE_CAP,
@@ -108,22 +149,7 @@ class UnidirectionalRing:
         :meth:`~RingAlgorithm.relay_program` walks the word instead of
         running processors.
         """
-        if trace == "metrics":
-            program = self.algorithm.relay_program()
-            if program is not None:
-                return run_relay(
-                    program, self.word, max_messages, self.algorithm.name
-                )
-        return execute(
-            self.processors,
-            self.word,
-            0,
-            None,
-            max_messages,
-            trace,
-            self.algorithm.name,
-            uni=True,
-        )
+        return self._run(None, max_messages, trace, uni=True)
 
 
 def run_unidirectional(

@@ -150,6 +150,18 @@ class TestExecution:
         with pytest.raises(AutomatonError, match="not in alphabet"):
             even_as().accepts("z")
 
+    @pytest.mark.parametrize("word", ["z", "abz", "aabbz"])
+    def test_unknown_symbol_wording_matches_step(self, word):
+        """``run`` reads the table in a loop; its error is still ``step``'s."""
+        dfa = even_as()
+        with pytest.raises(AutomatonError) as from_step:
+            dfa.step(dfa.run(word[:-1]), "z")
+        with pytest.raises(AutomatonError) as from_accepts:
+            dfa.accepts(word)
+        assert str(from_accepts.value) == str(from_step.value) == (
+            "symbol 'z' not in alphabet ('a', 'b')"
+        )
+
 
 class TestStructure:
     def test_reachable_states(self):

@@ -2,10 +2,11 @@
 
 Two routes reach every bit count: the relay walk, the round-batched
 sweep or the chooser loop, and divided cells or monolithic ones.  The
-engine chooses by itself — a ``trace="metrics"`` unidirectional run of
-an algorithm with a relay program walks, any other run sweeps if and
-only if its scheduler is ``round_batchable`` (whatever its trace
-policy), and a campaign splits every divisible cell.  Each metrics run
+engine chooses by itself — a ``trace="metrics"`` run of an algorithm
+with a relay program walks, on either ring and under every scheduler;
+any other run sweeps if and only if its scheduler is
+``round_batchable`` (whatever its trace policy), and a campaign splits
+every divisible cell.  Each metrics run
 names its engine in ``TraceStats.engine``, so a silent fallback fails
 here.  The two variables that once forced the other route,
 ``REPRO_NO_SPLIT`` and ``REPRO_NO_ROUND_BATCH``, are set here to prove
@@ -32,7 +33,12 @@ from repro.experiments.e02_message_graph import CountingTransducer
 from repro.languages import parity_language
 from repro.languages.hierarchy import STANDARD_GROWTHS, PeriodicLanguage
 from repro.languages.regular import tradeoff_language
-from repro.ring import UnidirectionalRing, run_bidirectional, run_unidirectional
+from repro.ring import (
+    BidirectionalRing,
+    UnidirectionalRing,
+    run_bidirectional,
+    run_unidirectional,
+)
 from repro.ring.schedulers import FifoScheduler, RandomScheduler
 from repro.runner import RunStore, execute_campaign
 from test_delivery_batch import (
@@ -183,10 +189,37 @@ def test_hand_written_pairs_sweep():
         assert stats.engine == "sweep"
 
 
-def test_bidirectional_runs_keep_their_engine():
+def test_bidirectional_runs_keep_their_engine(monkeypatch):
+    """On the bidirectional ring a relay program's metrics run walks under
+    FIFO and under a random scheduler, and builds no processor; a
+    hand-written pair keeps the chooser, and a full trace never walks."""
     algorithm = DFARecognizer(parity_language().dfa)
-    fifo = run_bidirectional(algorithm, "abba", FifoScheduler(), trace="metrics")
-    chosen = run_bidirectional(
-        algorithm, "abba", RandomScheduler(seed=1), trace="metrics"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walked run built a processor")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithm, "create_processor_positioned", refuse)
+        fifo = run_bidirectional(
+            algorithm, "abba", FifoScheduler(), trace="metrics"
+        )
+        chosen = run_bidirectional(
+            algorithm, "abba", RandomScheduler(seed=1), trace="metrics"
+        )
+    assert (fifo.engine, chosen.engine) == ("walk", "walk")
+
+    pair = run_bidirectional(
+        CopyRecognizer(), "abcab", RandomScheduler(seed=1), trace="metrics"
     )
-    assert (fifo.engine, chosen.engine) == ("sweep", "chooser")
+    assert pair.engine == "chooser"
+
+    import repro.ring.unidirectional as unidirectional
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a full trace took the walk")
+
+    monkeypatch.setattr(unidirectional, "run_relay", no_walk)
+    for scheduler in (FifoScheduler(), RandomScheduler(seed=1)):
+        ring = BidirectionalRing(algorithm, "abba", scheduler)
+        trace = ring.run(trace="full")
+        assert ring.processors[0].decision is trace.decision is not None

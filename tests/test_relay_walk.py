@@ -1,16 +1,20 @@
-"""The relay walk against the round-batched sweep it replaces.
+"""The relay walk against the engines it replaces.
 
-A ``trace="metrics"`` unidirectional run of an algorithm with a relay
-program (:meth:`~repro.ring.processor.RingAlgorithm.relay_program`)
-walks the word (:func:`repro.ring.delivery.run_relay`); the same
-algorithm's leader/follower processors on the sweep are its oracle.
-Every case here runs both and compares the outcome: the
-:class:`~repro.ring.trace.TraceStats` counters field by field and the
-decision, or the exception's type and wording.  The cases cover random
-total DFAs, random multipass algorithms with per-node memory, the
-message cap at every point of a run, a step that raises mid-pass,
-non-``Bits`` messages, a leader that never decides, n = 1 and the
-§7(5) one-pass codec's errors.
+A ``trace="metrics"`` run of an algorithm with a relay program
+(:meth:`~repro.ring.processor.RingAlgorithm.relay_program`) walks the
+word (:func:`repro.ring.delivery.run_relay`), on either ring; the same
+algorithm's leader/follower processors are its oracle — on the sweep
+for the unidirectional ring, and on the sweep or the chooser loop (by
+scheduler) for the bidirectional one.  Every case here runs both and
+compares the outcome: the :class:`~repro.ring.trace.TraceStats`
+counters field by field and the decision, or the exception's type and
+wording.  The cases cover random total DFAs, random multipass
+algorithms with per-node memory, the message cap at every point of a
+run, a step that raises mid-pass, non-``Bits`` messages, a leader that
+never decides, n = 1 and the §7(5) one-pass codec's errors.  On the
+bidirectional ring they also compare the scheduler's state after the
+run (RNG state, counter, every candidate list it was shown), and
+Theorem 1's DFA relay table is checked against ``DFA.step``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata.dfa import DFA
 from repro.bits import Bits, encode_fixed
 from repro.core.multipass import MultipassAlgorithm, MultipassRingAlgorithm
 from repro.core.passes_tradeoff import (
@@ -33,9 +38,18 @@ from repro.core.regular_onepass import (
     OnePassTransducer,
     TransducerRingAlgorithm,
 )
-from repro.errors import DecodeError, ProtocolError, RingError
+from repro.errors import AutomatonError, DecodeError, ProtocolError, RingError
+from repro.experiments.e01_regular_linear import _languages
 from repro.languages.regular import tradeoff_language
+from repro.ring.bidirectional import BidirectionalRing, run_bidirectional
 from repro.ring.delivery import execute
+from repro.ring.schedulers import (
+    AdversarialScheduler,
+    FifoScheduler,
+    LifoScheduler,
+    RandomScheduler,
+    Scheduler,
+)
 from repro.ring.unidirectional import UnidirectionalRing, run_unidirectional
 
 from conftest import random_dfa
@@ -350,3 +364,234 @@ class TestOnePassCodecErrors:
         algorithm = TransducerRingAlgorithm(Malformed(language))
         assert _assert_same(algorithm, word) == ("raised", DecodeError, wording)
 
+
+
+class _Counting(Scheduler):
+    """FIFO that records every candidate list it is shown."""
+
+    def __init__(self) -> None:
+        self.seen: list[list] = []
+
+    def choose(self, candidates):
+        self.seen.append(list(candidates))
+        return 0
+
+
+class _Fixed(Scheduler):
+    """Always returns ``index``, in range or not."""
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.calls = 0
+
+    def choose(self, candidates):
+        self.calls += 1
+        return self.index
+
+
+SCHEDULERS = {
+    "fifo": lambda seed: FifoScheduler(),
+    "lifo": lambda seed: LifoScheduler(),
+    "random": RandomScheduler,
+    "adversarial": lambda seed: AdversarialScheduler(stride=seed % 5 + 1),
+    "counting": lambda seed: _Counting(),
+}
+
+
+def _scheduler_state(scheduler) -> tuple:
+    rng = getattr(scheduler, "_rng", None)
+    return (
+        rng.getstate() if rng is not None else None,
+        getattr(scheduler, "_counter", None),
+        getattr(scheduler, "seen", None),
+        getattr(scheduler, "calls", None),
+    )
+
+
+def _bidi_walk(algorithm, word, scheduler, max_messages):
+    stats = run_bidirectional(
+        algorithm, word, scheduler, max_messages, trace="metrics"
+    )
+    assert stats.engine == "walk"
+    return stats
+
+
+def _bidi_oracle(algorithm, word, scheduler, max_messages):
+    """The processors under ``scheduler``: the sweep or the chooser loop."""
+    processors = BidirectionalRing(algorithm, word).processors
+    stats = execute(
+        processors, word, 0, scheduler, max_messages, "metrics", algorithm.name
+    )
+    assert stats.engine == (
+        "sweep" if scheduler.round_batchable else "chooser"
+    )
+    return stats
+
+
+def _bidi_outcome(run, algorithm, word, scheduler, max_messages):
+    try:
+        stats = run(algorithm, word, scheduler, max_messages)
+    except Exception as error:  # the wording is the contract
+        result = ("raised", type(error), str(error))
+    else:
+        result = ("ok",) + tuple(getattr(stats, field) for field in STAT_FIELDS)
+    return result, _scheduler_state(scheduler)
+
+
+def _assert_same_bidi(algorithm, word, make_scheduler, max_messages=CAP):
+    """Walk and oracle, each with a fresh scheduler from ``make_scheduler``."""
+    walked = _bidi_outcome(
+        _bidi_walk, algorithm, word, make_scheduler(), max_messages
+    )
+    oracle = _bidi_outcome(
+        _bidi_oracle, algorithm, word, make_scheduler(), max_messages
+    )
+    assert walked == oracle
+    return walked[0]
+
+
+class TestBidirectionalWalk:
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from(sorted(SCHEDULERS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_dfa(self, seed, states, n, kind):
+        rng = random.Random(seed)
+        dfa = random_dfa(rng, states, "abc")
+        word = "".join(rng.choice("abc") for _ in range(n))
+        algorithm = DFARecognizer(dfa, minimal=rng.random() < 0.5)
+        outcome = _assert_same_bidi(
+            algorithm, word, lambda: SCHEDULERS[kind](seed)
+        )
+        assert outcome[0] == "ok"
+        assert outcome[STAT_FIELDS.index("decision") + 1] == dfa.accepts(word)
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from(sorted(SCHEDULERS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_multipass(self, seed, passes, n, kind):
+        rng = random.Random(seed)
+        algorithm = MultipassRingAlgorithm(_RandomMultipass(seed, passes))
+        word = "".join(rng.choice("ab") for _ in range(n))
+        outcome = _assert_same_bidi(
+            algorithm, word, lambda: SCHEDULERS[kind](seed)
+        )
+        assert outcome[0] == "ok"
+
+    def test_candidates_are_the_chooser_loops(self):
+        scheduler = _Counting()
+        algorithm = MultipassRingAlgorithm(_RandomMultipass(2, 2))
+        _bidi_walk(algorithm, "abb", scheduler, CAP)
+        # Two passes of CW codes 2*sender + 1: p_0 -> p_1 -> p_2 -> p_0.
+        assert scheduler.seen == [[1], [3], [5]] * 2
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+    def test_every_cap_point(self, kind):
+        language = tradeoff_language(2)
+        algorithm = TwoPassTradeoffRecognizer(language)
+        word = language.sample_member(5, random.Random(3))
+        for cap in range(12):
+            outcome = _assert_same_bidi(
+                algorithm, word, lambda: SCHEDULERS[kind](cap), cap
+            )
+            assert outcome[0] == ("ok" if cap >= 10 else "raised")
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+    def test_step_error_before_the_cap_point_wins(self, kind):
+        algorithm = MultipassRingAlgorithm(_Exploding())
+        for cap in range(13):
+            outcome = _assert_same_bidi(
+                algorithm, "abaxab", lambda: SCHEDULERS[kind](cap), cap
+            )
+            assert outcome[1] is (RingError if cap < 9 else ProtocolError)
+
+    @pytest.mark.parametrize("index", [1, -1, 2])
+    @pytest.mark.parametrize("word", ["a", "ab", "abba"])
+    def test_out_of_range_choice(self, index, word):
+        algorithm = DFARecognizer(random_dfa(random.Random(4), 3))
+        for cap in (CAP, 0, 1):
+            outcome = _assert_same_bidi(
+                algorithm, word, lambda: _Fixed(index), cap
+            )
+            if cap:
+                assert outcome == (
+                    "raised",
+                    RingError,
+                    f"scheduler chose index {index} out of 1 candidates",
+                )
+
+    def test_reused_scheduler_continues_where_the_chooser_left_it(self):
+        algorithm = DFARecognizer(random_dfa(random.Random(6), 4))
+        walked, oracle = RandomScheduler(9), RandomScheduler(9)
+        for word in ("abab", "b", "aabba"):
+            _bidi_walk(algorithm, word, walked, CAP)
+            _bidi_oracle(algorithm, word, oracle, CAP)
+            assert walked._rng.getstate() == oracle._rng.getstate()
+        assert walked.choose(range(7)) == oracle.choose(range(7))
+
+
+def _mod3() -> DFA:
+    """count(a) mod 3 == 0: minimal with three states, so width 2."""
+    return DFA(
+        states=frozenset({0, 1, 2}),
+        alphabet=("a", "b"),
+        transitions={
+            (state, letter): (state + (letter == "a")) % 3
+            for state in range(3)
+            for letter in "ab"
+        },
+        start=0,
+        accepting=frozenset({0}),
+    )
+
+
+class TestDFARelayTable:
+    @pytest.mark.parametrize("index", range(6))
+    def test_table_agrees_with_dfa_step(self, index):
+        language = _languages()[index]
+        transducer = DFARecognizer(language.dfa).transducer
+        dfa = transducer._dfa
+        width = transducer.width
+        for state, code in transducer._order.items():
+            for letter in dfa.alphabet:
+                expected = encode_fixed(
+                    transducer._order[dfa.step(state, letter)], width
+                )
+                assert transducer.relay(letter, encode_fixed(code, width)) == (
+                    expected
+                )
+
+    def _relay_error(self, letter, message):
+        transducer = DFARecognizer(_mod3()).transducer
+        assert transducer.width == 2
+        with pytest.raises(Exception) as raised:
+            transducer.relay(letter, message)
+        return type(raised.value), str(raised.value)
+
+    @pytest.mark.parametrize("message", ["1", "011", ""])
+    def test_wrong_width(self, message):
+        assert self._relay_error("a", Bits(message)) == (
+            DecodeError,
+            f"expected 2 bits, got {len(message)}",
+        )
+
+    def test_unknown_state(self):
+        assert self._relay_error("a", Bits("11")) == (
+            ProtocolError,
+            "message decodes to unknown state 3",
+        )
+
+    def test_foreign_letter(self):
+        assert self._relay_error("z", Bits("01")) == (
+            AutomatonError,
+            "symbol 'z' not in alphabet ('a', 'b')",
+        )
+        # A malformed message's error comes first, as it does on decode.
+        assert self._relay_error("z", Bits("11"))[0] is ProtocolError
