@@ -34,36 +34,25 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from repro.bits import BitReader, Bits
-from repro.errors import ReproError
-from repro.ring import (
-    BidirectionalRing,
-    Direction,
-    ExecutionTrace,
-    LineNetwork,
-    Processor,
-    RingAlgorithm,
-    Send,
-    TraceStats,
-    UnidirectionalRing,
-    run_bidirectional,
-    run_unidirectional,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "Bits",
-    "BitReader",
-    "ReproError",
-    "Direction",
-    "Send",
-    "Processor",
-    "RingAlgorithm",
-    "ExecutionTrace",
-    "TraceStats",
-    "UnidirectionalRing",
-    "BidirectionalRing",
-    "LineNetwork",
-    "run_unidirectional",
-    "run_bidirectional",
-]
+# Each public name, in ``__all__`` order, and the submodule defining it.
+_EXPORTS = {
+    "Bits": ".bits",
+    "BitReader": ".bits",
+    "ReproError": ".errors",
+    "Direction": ".ring",
+    "Send": ".ring",
+    "Processor": ".ring",
+    "RingAlgorithm": ".ring",
+    "ExecutionTrace": ".ring",
+    "TraceStats": ".ring",
+    "UnidirectionalRing": ".ring",
+    "BidirectionalRing": ".ring",
+    "LineNetwork": ".ring",
+    "run_unidirectional": ".ring",
+    "run_bidirectional": ".ring",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,17 +7,19 @@ to decide which model the curve follows; :mod:`repro.analysis.tables`
 renders the rows recorded in EXPERIMENTS.md.
 """
 
-from repro.analysis.models import GrowthModel, STANDARD_MODELS, model_named
-from repro.analysis.growth import FitResult, classify_growth, fit_model, log_log_slope
-from repro.analysis.tables import format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GrowthModel",
-    "STANDARD_MODELS",
-    "model_named",
-    "FitResult",
-    "fit_model",
-    "classify_growth",
-    "log_log_slope",
-    "format_table",
-]
+# Each public name, in ``__all__`` order, and the submodule defining it.
+_EXPORTS = {
+    "GrowthModel": ".models",
+    "STANDARD_MODELS": ".models",
+    "model_named": ".models",
+    "FitResult": ".growth",
+    "fit_model": ".growth",
+    "classify_growth": ".growth",
+    "log_log_slope": ".growth",
+    "format_table": ".tables",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,49 +8,32 @@ operations, Hopcroft minimization, equivalence checking, and structural
 properties (emptiness, finiteness, residual classes).
 """
 
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
-from repro.automata.regex import compile_regex, regex_to_nfa
-from repro.automata.operations import (
-    complement,
-    concatenate,
-    intersection,
-    product,
-    reverse,
-    star,
-    union,
-)
-from repro.automata.minimize import canonical_form, minimize
-from repro.automata.equivalence import distinguishing_word, equivalent
-from repro.automata.properties import (
-    is_empty,
-    is_finite_language,
-    is_universal,
-    pumping_length,
-    residual_classes,
-    shortest_accepted,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DFA",
-    "NFA",
-    "compile_regex",
-    "regex_to_nfa",
-    "product",
-    "union",
-    "intersection",
-    "complement",
-    "concatenate",
-    "reverse",
-    "star",
-    "minimize",
-    "canonical_form",
-    "equivalent",
-    "distinguishing_word",
-    "is_empty",
-    "is_universal",
-    "is_finite_language",
-    "pumping_length",
-    "residual_classes",
-    "shortest_accepted",
-]
+# Each public name, in ``__all__`` order, and the submodule defining it.
+_EXPORTS = {
+    "DFA": ".dfa",
+    "NFA": ".nfa",
+    "compile_regex": ".regex",
+    "regex_to_nfa": ".regex",
+    "product": ".operations",
+    "union": ".operations",
+    "intersection": ".operations",
+    "complement": ".operations",
+    "concatenate": ".operations",
+    "reverse": ".operations",
+    "star": ".operations",
+    "minimize": ".minimize",
+    "canonical_form": ".minimize",
+    "equivalent": ".equivalence",
+    "distinguishing_word": ".equivalence",
+    "is_empty": ".properties",
+    "is_universal": ".properties",
+    "is_finite_language": ".properties",
+    "pumping_length": ".properties",
+    "residual_classes": ".properties",
+    "shortest_accepted": ".properties",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

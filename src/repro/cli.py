@@ -141,8 +141,6 @@ from repro.runner import (
     PlanExecution,
     RunStore,
     execute_campaign,
-    ingest_stores,
-    parse_shard,
     report_from_store,
 )
 from repro.runner.store import DEFAULT_STORE_ROOT
@@ -504,6 +502,8 @@ def _run_ingest(args) -> int:
     Conflict details go to stderr (they are diagnostics, like stale
     warnings); the one-line outcome summary goes to stdout.
     """
+    from repro.runner.ingest import ingest_stores
+
     report = ingest_stores(
         args.sources, args.into, strip_seconds=args.strip_seconds
     )
@@ -730,6 +730,8 @@ def _positive(what: str):
 
 def _shard(text: str) -> "tuple[int, int]":
     """The argparse ``type`` of ``--shard I/N``."""
+    from repro.runner.sharding import parse_shard
+
     try:
         return parse_shard(text)
     except ReproError as error:

@@ -1,6 +1,6 @@
 """The paper's contribution: recognizers and proof constructions.
 
-One module per construction — see DESIGN.md §3 for the full inventory:
+One module per construction; this list is the inventory:
 
 * :mod:`repro.core.regular_onepass` — Theorem 1's DFA-state-forwarding
   recognizer and the general one-pass transducer framework.
@@ -25,70 +25,41 @@ One module per construction — see DESIGN.md §3 for the full inventory:
 * :mod:`repro.core.bidi_to_unidi` — Theorem 7's two-stage compiler.
 """
 
-from repro.core.regular_onepass import (
-    DFARecognizer,
-    OnePassTransducer,
-    TransducerRingAlgorithm,
-)
-from repro.core.counting import CountingAlgorithm, LengthPredicateRecognizer
-from repro.core.counters import BlockCounterRecognizer, DyckRecognizer
-from repro.core.comparison import (
-    CollectAllRecognizer,
-    CopyRecognizer,
-    MarkedPalindromeRecognizer,
-)
-from repro.core.hierarchy import HierarchyRecognizer
-from repro.core.known_n import KnownNHierarchyRecognizer, KnownNLengthRecognizer
-from repro.core.passes_tradeoff import (
-    OnePassTradeoffRecognizer,
-    TwoPassTradeoffRecognizer,
-    one_pass_bits,
-    two_pass_bits,
-)
-from repro.core.message_graph import MessageGraph, build_message_graph, extract_dfa
-from repro.core.multipass import (
-    MultipassAlgorithm,
-    MultipassRingAlgorithm,
-    compile_to_one_pass,
-)
-from repro.core.information_state import (
-    cut_word,
-    entropy_lower_bound_bits,
-    min_distinct_states,
-    verify_cut_lemma,
-)
-from repro.core.regular_bidirectional import BidirectionalDFARecognizer
-from repro.core.bidi_to_unidi import LineEmbeddedAlgorithm, BidiToUnidiCompiler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DFARecognizer",
-    "OnePassTransducer",
-    "TransducerRingAlgorithm",
-    "CountingAlgorithm",
-    "LengthPredicateRecognizer",
-    "BlockCounterRecognizer",
-    "DyckRecognizer",
-    "CollectAllRecognizer",
-    "CopyRecognizer",
-    "MarkedPalindromeRecognizer",
-    "HierarchyRecognizer",
-    "KnownNHierarchyRecognizer",
-    "KnownNLengthRecognizer",
-    "OnePassTradeoffRecognizer",
-    "TwoPassTradeoffRecognizer",
-    "one_pass_bits",
-    "two_pass_bits",
-    "MessageGraph",
-    "build_message_graph",
-    "extract_dfa",
-    "MultipassAlgorithm",
-    "MultipassRingAlgorithm",
-    "compile_to_one_pass",
-    "cut_word",
-    "verify_cut_lemma",
-    "min_distinct_states",
-    "entropy_lower_bound_bits",
-    "BidirectionalDFARecognizer",
-    "LineEmbeddedAlgorithm",
-    "BidiToUnidiCompiler",
-]
+# Each public name, in ``__all__`` order, and the submodule defining it.
+_EXPORTS = {
+    "DFARecognizer": ".regular_onepass",
+    "OnePassTransducer": ".regular_onepass",
+    "TransducerRingAlgorithm": ".regular_onepass",
+    "CountingAlgorithm": ".counting",
+    "LengthPredicateRecognizer": ".counting",
+    "BlockCounterRecognizer": ".counters",
+    "DyckRecognizer": ".counters",
+    "CollectAllRecognizer": ".comparison",
+    "CopyRecognizer": ".comparison",
+    "MarkedPalindromeRecognizer": ".comparison",
+    "HierarchyRecognizer": ".hierarchy",
+    "KnownNHierarchyRecognizer": ".known_n",
+    "KnownNLengthRecognizer": ".known_n",
+    "OnePassTradeoffRecognizer": ".passes_tradeoff",
+    "TwoPassTradeoffRecognizer": ".passes_tradeoff",
+    "one_pass_bits": ".passes_tradeoff",
+    "two_pass_bits": ".passes_tradeoff",
+    "MessageGraph": ".message_graph",
+    "build_message_graph": ".message_graph",
+    "extract_dfa": ".message_graph",
+    "MultipassAlgorithm": ".multipass",
+    "MultipassRingAlgorithm": ".multipass",
+    "compile_to_one_pass": ".multipass",
+    "cut_word": ".information_state",
+    "verify_cut_lemma": ".information_state",
+    "min_distinct_states": ".information_state",
+    "entropy_lower_bound_bits": ".information_state",
+    "BidirectionalDFARecognizer": ".regular_bidirectional",
+    "LineEmbeddedAlgorithm": ".bidi_to_unidi",
+    "BidiToUnidiCompiler": ".bidi_to_unidi",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

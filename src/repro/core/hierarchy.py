@@ -31,11 +31,12 @@ divisible-cell decomposition of E9's member measurement).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.bits import (
     BitReader,
     Bits,
+    elias_gamma_length,
     encode_elias_gamma,
     encode_fixed,
     fixed_width_for,
@@ -132,8 +133,10 @@ class _HierarchyFollower(Processor):
     A full compare message is the head ``1, fail, _FULL`` then ``L``
     letters of ``b`` bits: the front letter is ``window >> (L-1)b`` and
     the slid window ``((window << b) | mine) & mask`` — one ``Bits`` of
-    the same length, the bits :class:`_CompareCodec` would give.  Count
-    and filling messages, and any malformed one, take the codec path.
+    the same length, the bits :class:`_CompareCodec` would give.  A
+    count message is the int ``v`` in ``2 * bitlen(v)`` bits (a 0 phase
+    bit, then ``gamma(v)``), and the next count is ``v + 1`` the same
+    way.  Filling messages, and any malformed one, take the codec path.
     """
 
     def __init__(self, letter: str, algorithm: "HierarchyRecognizer") -> None:
@@ -141,10 +144,15 @@ class _HierarchyFollower(Processor):
         self._algorithm = algorithm
 
     def on_receive(self, message: Bits, arrived_from: Direction) -> Iterable[Send]:
+        length = message._length
+        value = message._value
+        if value and length == 2 * value.bit_length():
+            # A count message, phase 0 then gamma(v), packs to the int v
+            # in 2 * bitlen(v) bits; the next one carries v + 1.
+            value += 1
+            return [Send.cw(Bits._make(value, 2 * value.bit_length()))]
         alg = self._algorithm
         width = alg.letter_width
-        length = len(message)
-        value = message.to_int()
         window_bits = length - 3
         if (
             window_bits >= width
@@ -159,7 +167,7 @@ class _HierarchyFollower(Processor):
                 fail = 1
             window = ((window << width) | mine) & mask
             head = _PHASE_COMPARE << 2 | fail << 1 | _FULL
-            return [Send.cw(encode_fixed(head << window_bits | window, length))]
+            return [Send.cw(Bits._make(head << window_bits | window, length))]
         reader = BitReader(message)
         phase = reader.read_bit()
         if phase == _PHASE_COUNT:
@@ -229,7 +237,11 @@ def replay_segment(
     the trace independently of every other slice — the divisible-cell
     decomposition of E9's member run (PERFORMANCE.md layer 10).  Sizes
     come from the live protocol's own codec
-    (:meth:`_CompareCodec.encoded_size`); summing segments over any
+    (:meth:`_CompareCodec.encoded_size`,
+    :func:`repro.bits.elias_gamma_length`), summed in closed form: a
+    size depends only on the phase, the bit length of ``to_fill`` or of
+    the count, and the window length, so a segment costs O(log n) codec
+    calls and one slice comparison.  Summing segments over any
     partition of ``[0, n)`` equals the simulated
     :class:`~repro.ring.trace.TraceStats` pass totals bit for bit (the
     ``fail`` flag returned is the *segment-local* disjunction — OR the
@@ -248,22 +260,48 @@ def replay_segment(
     recognizer = HierarchyRecognizer(language)
     p = recognizer.growth(n) // n
     p_valid = 1 <= p <= n
-    count_bits = 0
-    for h in range(start, stop):
-        count_bits += 1 + len(encode_elias_gamma(h + 1))
+    # Position h's count message is the phase bit then gamma(h + 1).
+    count_bits = _sum_by_bit_length(
+        start + 1, stop, lambda v: 1 + elias_gamma_length(v)
+    )
     compare_bits = 0
     fail = 0
     if p_valid:
         codec = recognizer.codec
-        for h in range(start, stop):
-            if h >= p and word[h] != word[h - p]:
-                fail = 1
-            compare_bits += codec.encoded_size(
-                fail, max(p - 1 - h, 0), min(h + 1, p)
+        # Positions h < p - 1 are filling: to_fill = p - 1 - h, h + 1
+        # letters.  The head's size depends on bitlen(to_fill) only, and
+        # the letters sum to (h + 1) * letter_width over the run of h.
+        fill_stop = min(stop, p - 1)
+        if start < fill_stop:
+            compare_bits += _sum_by_bit_length(
+                p - fill_stop, p - 1 - start, lambda t: codec.encoded_size(0, t, 0)
             )
+            compare_bits += recognizer.letter_width * (
+                (fill_stop * (fill_stop + 1) - start * (start + 1)) // 2
+            )
+        # Every later position sends a full window of p letters.
+        full = stop - max(start, p - 1)
+        if full > 0:
+            compare_bits += full * codec.encoded_size(0, 0, p)
+        lo = max(start, p)
+        fail = int(lo < stop and word[lo:stop] != word[lo - p : stop - p])
     return {
         "count_bits": count_bits,
         "compare_bits": compare_bits,
         "fail": fail,
         "p_valid": p_valid,
     }
+
+
+def _sum_by_bit_length(first: int, last: int, size: Callable[[int], int]) -> int:
+    """``sum(size(v) for v in range(first, last + 1))``, ``first >= 1``.
+
+    ``size(v)`` must depend on ``v.bit_length()`` alone; it is called
+    once per bit length in the range.
+    """
+    total = 0
+    while first <= last:
+        top = min(last, (1 << first.bit_length()) - 1)
+        total += (top - first + 1) * size(first)
+        first = top + 1
+    return total

@@ -88,10 +88,10 @@ class _KnownNHierarchyFollower(Processor):
         alg = self._algorithm
         p = alg.block_length(self._size)
         width = alg.letter_width
-        length = len(message)
+        length = message._length
         window_bits = length - 1
         if p >= 1 and window_bits == p * width:
-            value = message.to_int()
+            value = message._value
             mine = alg.letter_code(self.letter)
             mask = (1 << window_bits) - 1
             window = value & mask
@@ -99,7 +99,7 @@ class _KnownNHierarchyFollower(Processor):
             if window >> (window_bits - width) != mine:
                 fail = 1
             window = ((window << width) | mine) & mask
-            return [Send.cw(encode_fixed(fail << window_bits | window, length))]
+            return [Send.cw(Bits._make(fail << window_bits | window, length))]
         fail, window = alg.decode(message)
         mine = alg.letter_code(self.letter)
         # Full periodicity: every processor from position p on compares its
@@ -190,7 +190,9 @@ def replay_segment(
     of E10's member run, mirroring
     :func:`repro.core.hierarchy.replay_segment` (see there for the
     segment-sum-equals-simulation contract and the meaning of the
-    segment-local ``fail``).
+    segment-local ``fail``).  Sizes are summed in closed form from
+    :meth:`KnownNHierarchyRecognizer.encoded_size`, and ``fail`` is one
+    slice comparison.
 
     When ``p`` is invalid the leader decides with *zero* messages, so
     every segment accounts zero bits.
@@ -206,10 +208,18 @@ def replay_segment(
     bits = 0
     fail = 0
     if p_valid:
-        for h in range(start, stop):
-            if h >= p and word[h] != word[h - p]:
-                fail = 1
-            bits += recognizer.encoded_size(fail, min(h + 1, p))
+        # Positions h < p - 1 send h + 1 letters, every later one p.
+        fill_stop = min(stop, p - 1)
+        if start < fill_stop:
+            bits += (fill_stop - start) * recognizer.encoded_size(0, 0)
+            bits += recognizer.letter_width * (
+                (fill_stop * (fill_stop + 1) - start * (start + 1)) // 2
+            )
+        full = stop - max(start, p - 1)
+        if full > 0:
+            bits += full * recognizer.encoded_size(0, p)
+        lo = max(start, p)
+        fail = int(lo < stop and word[lo:stop] != word[lo - p : stop - p])
     return {"bits": bits, "fail": fail, "p_valid": p_valid}
 
 

@@ -63,6 +63,16 @@ class _TwoPassTradeoff(MultipassAlgorithm):
         self.language = language
         self.k = language.k
         self.modulus = language.modulus
+        # The followers' answers, indexed by the incoming packed int: the
+        # next count for a pass-1 message, the pass-2 message with its
+        # parity flipped.
+        self._next_count = [
+            encode_fixed((count + 1) % self.modulus, self.k)
+            for count in range(1 << self.k)
+        ]
+        self._flipped = [
+            encode_fixed(value ^ 1, self.k + 1) for value in range(1 << (self.k + 1))
+        ]
 
     # -- helpers -----------------------------------------------------------
 
@@ -87,15 +97,14 @@ class _TwoPassTradeoff(MultipassAlgorithm):
         return None, None, parity == 0
 
     def follower_step(self, letter: str, memory, incoming: Bits):
-        width = len(incoming)
+        width = incoming._length
         if width == self.k:
-            count = incoming.to_int()
-            return None, encode_fixed((count + 1) % self.modulus, self.k)
+            return None, self._next_count[incoming._value]
         if width == self.k + 1:
             # Target index in the high k bits, parity in the low bit.
-            value = incoming.to_int()
-            if letter == self._target_letter(value >> 1):
-                return None, encode_fixed(value ^ 1, width)
+            value = incoming._value
+            if letter == self.alphabet[value >> 1]:
+                return None, self._flipped[value]
             return None, incoming
         # Unknown shape (only reachable via the Theorem 3 enumerator, which
         # probes followers with arbitrary message-space elements): inert.
@@ -158,13 +167,14 @@ class _OnePassTradeoff(OnePassTransducer):
         )
 
     def relay(self, letter: str, incoming: Bits) -> Bits:
-        if len(incoming) != self._width:
+        width = self._width
+        if incoming._length != width:
             self.decode(incoming)  # raises the codec's length error
         modulus = self.modulus
-        value = incoming.to_int()
+        value = incoming._value
         count = ((value >> modulus) + 1) % modulus
         parities = (value ^ self._flip[letter]) & ((1 << modulus) - 1)
-        return encode_fixed(count << modulus | parities, self._width)
+        return Bits._make(count << modulus | parities, width)
 
     def decide(self, leader_letter: str, final: Bits) -> bool:
         count, parities = self.decode(final)

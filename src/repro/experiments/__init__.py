@@ -2,8 +2,8 @@
 
 The paper prints no tables or figures; its evaluation *is* its theorem
 statements.  Each module here turns one claim into a parameter sweep with
-exact bit accounting and a pass/fail check of the claimed shape
-(see DESIGN.md §4 for the index):
+exact bit accounting and a pass/fail check of the claimed shape; this
+table is the index:
 
 ====  =======================================================================
 E1    Theorems 1/6 — regular languages cost ``ceil(log2 |Q|) * n`` bits
@@ -21,7 +21,9 @@ E12   Summary — the TM->ring bridge: ``BIT <= t(n) log |Q|``
 ====  =======================================================================
 
 Use :func:`get_spec` (``get_spec("E7").run(profile)``) /
-:data:`ALL_EXPERIMENTS` or the CLI (``python -m repro.cli``).
+:data:`ALL_EXPERIMENTS` or the CLI (``python -m repro.cli``).  An
+experiment module is imported the first time its id is looked up in
+:data:`ALL_SPECS`, so importing this package loads none of them.
 """
 
 from repro.experiments.base import (

@@ -17,39 +17,66 @@ the others the long preset falls back to their full sweep.
 
 from __future__ import annotations
 
+import importlib
+from typing import Iterator, Mapping
+
 from repro.errors import ReproError
 from repro.experiments.base import ExperimentSpec
-from repro.experiments import (
-    e01_regular_linear,
-    e02_message_graph,
-    e03_multipass_compile,
-    e04_info_states,
-    e05_token_line,
-    e06_bidi_to_unidi,
-    e07_wcw_quadratic,
-    e08_counters_nlogn,
-    e09_hierarchy,
-    e10_known_n,
-    e11_passes_tradeoff,
-    e12_tm_bridge,
-)
 
-ALL_SPECS: dict[str, ExperimentSpec] = {
-    "E1": e01_regular_linear.SPEC,
-    "E2": e02_message_graph.SPEC,
-    "E3": e03_multipass_compile.SPEC,
-    "E4": e04_info_states.SPEC,
-    "E5": e05_token_line.SPEC,
-    "E6": e06_bidi_to_unidi.SPEC,
-    "E7": e07_wcw_quadratic.SPEC,
-    "E8": e08_counters_nlogn.SPEC,
-    "E9": e09_hierarchy.SPEC,
-    "E10": e10_known_n.SPEC,
-    "E11": e11_passes_tradeoff.SPEC,
-    "E12": e12_tm_bridge.SPEC,
+# Id -> defining module, in catalog order.
+_MODULES: dict[str, str] = {
+    "E1": "e01_regular_linear",
+    "E2": "e02_message_graph",
+    "E3": "e03_multipass_compile",
+    "E4": "e04_info_states",
+    "E5": "e05_token_line",
+    "E6": "e06_bidi_to_unidi",
+    "E7": "e07_wcw_quadratic",
+    "E8": "e08_counters_nlogn",
+    "E9": "e09_hierarchy",
+    "E10": "e10_known_n",
+    "E11": "e11_passes_tradeoff",
+    "E12": "e12_tm_bridge",
 }
 
-ALL_EXPERIMENTS: tuple[str, ...] = tuple(ALL_SPECS)
+
+class _SpecTable(Mapping[str, ExperimentSpec]):
+    """Read-only id -> spec table that imports each experiment on demand.
+
+    Looking an id up imports ``repro.experiments.eNN_*`` the first time,
+    so a run of two experiments never compiles the other ten (nor the
+    recognizers only they use).  Iteration, ``len`` and ``in`` need no
+    import; ``.values()`` and ``.items()`` import all twelve, in order.
+    """
+
+    def __init__(self) -> None:
+        self._specs: dict[str, ExperimentSpec] = {}
+
+    def __getitem__(self, exp_id: str) -> ExperimentSpec:
+        spec = self._specs.get(exp_id)
+        if spec is None:
+            module = importlib.import_module(
+                f"repro.experiments.{_MODULES[exp_id]}"
+            )
+            spec = self._specs[exp_id] = module.SPEC
+        return spec
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_MODULES)
+
+    def __len__(self) -> int:
+        return len(_MODULES)
+
+    def __contains__(self, exp_id: object) -> bool:
+        return exp_id in _MODULES
+
+    def __repr__(self) -> str:
+        return f"<experiment specs {', '.join(_MODULES)}>"
+
+
+ALL_SPECS: Mapping[str, ExperimentSpec] = _SpecTable()
+
+ALL_EXPERIMENTS: tuple[str, ...] = tuple(_MODULES)
 
 # Counter-only experiments: their sweeps run trace="metrics" end to end,
 # so a dedicated `long` sweep (n >= 10^4) stays O(n)-memory and CI-cheap.

@@ -8,51 +8,33 @@ what ring experiments need (the ring has exactly ``n`` processors, so test
 words must have exact lengths).
 """
 
-from repro.languages.base import Language, FunctionLanguage
-from repro.languages.regular import (
-    RegularLanguage,
-    length_mod_language,
-    mod_count_language,
-    parity_language,
-    regex_language,
-    substring_language,
-    tradeoff_language,
-    TradeoffLanguage,
-)
-from repro.languages.nonregular import (
-    AnBn,
-    AnBnCn,
-    DyckLanguage,
-    CopyLanguage,
-    EqualCounts,
-    MarkedPalindrome,
-    MajorityLanguage,
-    PrimeLength,
-    SquareLanguage,
-)
-from repro.languages.hierarchy import GrowthFunction, PeriodicLanguage, STANDARD_GROWTHS
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Language",
-    "FunctionLanguage",
-    "RegularLanguage",
-    "regex_language",
-    "parity_language",
-    "mod_count_language",
-    "substring_language",
-    "length_mod_language",
-    "tradeoff_language",
-    "TradeoffLanguage",
-    "AnBn",
-    "AnBnCn",
-    "DyckLanguage",
-    "CopyLanguage",
-    "MarkedPalindrome",
-    "EqualCounts",
-    "MajorityLanguage",
-    "PrimeLength",
-    "SquareLanguage",
-    "GrowthFunction",
-    "PeriodicLanguage",
-    "STANDARD_GROWTHS",
-]
+# Each public name, in ``__all__`` order, and the submodule defining it.
+_EXPORTS = {
+    "Language": ".base",
+    "FunctionLanguage": ".base",
+    "RegularLanguage": ".regular",
+    "regex_language": ".regular",
+    "parity_language": ".regular",
+    "mod_count_language": ".regular",
+    "substring_language": ".regular",
+    "length_mod_language": ".regular",
+    "tradeoff_language": ".regular",
+    "TradeoffLanguage": ".regular",
+    "AnBn": ".nonregular",
+    "AnBnCn": ".nonregular",
+    "DyckLanguage": ".nonregular",
+    "CopyLanguage": ".nonregular",
+    "MarkedPalindrome": ".nonregular",
+    "EqualCounts": ".nonregular",
+    "MajorityLanguage": ".nonregular",
+    "PrimeLength": ".nonregular",
+    "SquareLanguage": ".nonregular",
+    "GrowthFunction": ".hierarchy",
+    "PeriodicLanguage": ".hierarchy",
+    "STANDARD_GROWTHS": ".hierarchy",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

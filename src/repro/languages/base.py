@@ -25,6 +25,28 @@ __all__ = ["Language", "FunctionLanguage"]
 
 _DEFAULT_REJECTION_TRIES = 2000
 
+# ``rng.choice(seq)`` is ``seq[rng._randbelow(len(seq))]``, and CPython's
+# stock ``_randbelow`` draws ``getrandbits(len(seq).bit_length())`` until
+# the draw is below ``len(seq)``.  Samplers that draw once per letter
+# inline that loop, which makes the same ``getrandbits`` calls, so the
+# words and the generator's end state are those ``rng.choice`` gives.
+_STOCK_RANDBELOW = getattr(random.Random, "_randbelow_with_getrandbits", None)
+
+
+def _draws_by_getrandbits(rng: random.Random) -> bool:
+    """True when ``rng.choice`` is the stock getrandbits rejection loop.
+
+    A generator class that replaces ``choice`` or ``_randbelow`` (one
+    that only overrides ``random()``, say) answers False, and samplers
+    keep calling ``rng.choice`` for it.
+    """
+    cls = type(rng)
+    return (
+        _STOCK_RANDBELOW is not None
+        and getattr(cls, "_randbelow", None) is _STOCK_RANDBELOW
+        and getattr(cls, "choice", None) is random.Random.choice
+    )
+
 
 class Language(ABC):
     """Abstract language over a finite alphabet."""
@@ -62,8 +84,24 @@ class Language(ABC):
     # ------------------------------------------------------------------
 
     def random_word(self, length: int, rng: random.Random) -> str:
-        """A uniformly random word of the given length over the alphabet."""
-        return "".join(rng.choice(self._alphabet) for _ in range(length))
+        """A uniformly random word of the given length over the alphabet.
+
+        Letter ``i`` is ``rng.choice(alphabet)``'s ``i``-th draw, made
+        inline (see :func:`_draws_by_getrandbits`).
+        """
+        alphabet = self._alphabet
+        if not _draws_by_getrandbits(rng):
+            return "".join(rng.choice(alphabet) for _ in range(length))
+        getrandbits = rng.getrandbits
+        count = len(alphabet)
+        width = count.bit_length()
+        letters = []
+        for _ in range(length):
+            r = getrandbits(width)
+            while r >= count:
+                r = getrandbits(width)
+            letters.append(alphabet[r])
+        return "".join(letters)
 
     def sample_member(self, length: int, rng: random.Random) -> str | None:
         """A member of exactly ``length`` letters, or None if none found.

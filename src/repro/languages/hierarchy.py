@@ -107,7 +107,7 @@ class PeriodicLanguage(Language):
         p = self.block_length(length)
         if p < 1 or p > length:
             return None
-        block = "".join(rng.choice(self._alphabet) for _ in range(p))
+        block = self.random_word(p, rng)
         repetitions = -(-length // p)
         return (block * repetitions)[:length]
 

@@ -15,7 +15,7 @@ from repro.automata.dfa import DFA
 from repro.automata.minimize import minimize
 from repro.automata.regex import compile_regex
 from repro.errors import LanguageError
-from repro.languages.base import Language
+from repro.languages.base import Language, _draws_by_getrandbits
 
 __all__ = [
     "RegularLanguage",
@@ -88,14 +88,22 @@ class RegularLanguage(Language):
         # chain.index(length) extended the chain to cover every step below.
         mu, lam, known = chain.mu, chain.lam, len(chain.sets)
         moves = chain.moves
-        choice = rng.choice
         letters: list[str] = []
+        getrandbits = rng.getrandbits if _draws_by_getrandbits(rng) else None
         for remaining in range(length - 1, -1, -1):
             index = remaining if remaining < known else mu + (remaining - mu) % lam
-            options = moves.get((state, index))
-            if options is None:
-                options = chain.options(state, index)
-            symbol, state = choice(options)
+            entry = moves.get((state, index))
+            if entry is None:
+                entry = chain.options(state, index)
+            options, count, width = entry
+            if getrandbits is None:
+                symbol, state = rng.choice(options)
+            else:
+                # rng.choice(options), inlined: the same getrandbits calls.
+                r = getrandbits(width)
+                while r >= count:
+                    r = getrandbits(width)
+                symbol, state = options[r]
             letters.append(symbol)
         return "".join(letters)
 
@@ -121,8 +129,9 @@ class _ViableChain:
         self.sets: list[frozenset] = [targets]
         self.mu = 0
         self.lam = 0  # 0 until the first repeat is found
-        # (state, set index) -> [(symbol, successor)] in alphabet order.
-        self.moves: dict[tuple, list[tuple[str, object]]] = {}
+        # (state, set index) -> ([(symbol, successor)] in alphabet order,
+        # its length, and the length's bit length: rng.choice's draw width).
+        self.moves: dict[tuple, tuple[list, int, int]] = {}
 
     def index(self, steps: int) -> int:
         """Index into :attr:`sets` of ``W(steps)``, growing the chain."""
@@ -145,15 +154,20 @@ class _ViableChain:
             return steps
         return self.mu + (steps - self.mu) % self.lam
 
-    def options(self, state, index: int) -> list[tuple[str, object]]:
-        """The moves from ``state`` that land in ``sets[index]``."""
+    def options(self, state, index: int) -> tuple[list, int, int]:
+        """The moves from ``state`` that land in ``sets[index]``.
+
+        Returns ``(moves, len(moves), len(moves).bit_length())``.
+        """
         transitions, viable = self._dfa.transitions, self.sets[index]
-        moves = self.moves[(state, index)] = [
+        moves = [
             (symbol, transitions[(state, symbol)])
             for symbol in self._alphabet
             if transitions[(state, symbol)] in viable
         ]
-        return moves
+        count = len(moves)
+        entry = self.moves[(state, index)] = (moves, count, count.bit_length())
+        return entry
 
 
 def regex_language(name: str, pattern: str, alphabet: Iterable[str]) -> RegularLanguage:

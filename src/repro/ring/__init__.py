@@ -21,61 +21,37 @@ This subpackage is the paper's execution model made executable:
   and a line-network simulator for the Theorem 7 compiler.
 """
 
-from repro.ring.messages import Direction, Send
-from repro.ring.processor import LeaderMixin, Processor, RingAlgorithm
-from repro.ring.trace import (
-    ExecutionTrace,
-    InformationState,
-    MessageEvent,
-    TraceStats,
-)
-from repro.ring.unidirectional import UnidirectionalRing, run_unidirectional
-from repro.ring.bidirectional import BidirectionalRing, run_bidirectional
-from repro.ring.schedulers import (
-    AdversarialScheduler,
-    FifoScheduler,
-    LifoScheduler,
-    RandomScheduler,
-    Scheduler,
-)
-from repro.ring.token import (
-    TokenStats,
-    TokenTrace,
-    is_token_trace,
-    serialize_to_token,
-)
-from repro.ring.line import (
-    LineNetwork,
-    LineTransformResult,
-    LineTransformStats,
-    ring_to_line,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Direction",
-    "Send",
-    "Processor",
-    "LeaderMixin",
-    "RingAlgorithm",
-    "MessageEvent",
-    "InformationState",
-    "ExecutionTrace",
-    "TraceStats",
-    "UnidirectionalRing",
-    "run_unidirectional",
-    "BidirectionalRing",
-    "run_bidirectional",
-    "Scheduler",
-    "FifoScheduler",
-    "LifoScheduler",
-    "RandomScheduler",
-    "AdversarialScheduler",
-    "TokenTrace",
-    "TokenStats",
-    "is_token_trace",
-    "serialize_to_token",
-    "LineNetwork",
-    "LineTransformResult",
-    "LineTransformStats",
-    "ring_to_line",
-]
+# Each public name, in ``__all__`` order, and the submodule defining it.
+_EXPORTS = {
+    "Direction": ".messages",
+    "Send": ".messages",
+    "Processor": ".processor",
+    "LeaderMixin": ".processor",
+    "RingAlgorithm": ".processor",
+    "MessageEvent": ".trace",
+    "InformationState": ".trace",
+    "ExecutionTrace": ".trace",
+    "TraceStats": ".trace",
+    "UnidirectionalRing": ".unidirectional",
+    "run_unidirectional": ".unidirectional",
+    "BidirectionalRing": ".bidirectional",
+    "run_bidirectional": ".bidirectional",
+    "Scheduler": ".schedulers",
+    "FifoScheduler": ".schedulers",
+    "LifoScheduler": ".schedulers",
+    "RandomScheduler": ".schedulers",
+    "AdversarialScheduler": ".schedulers",
+    "TokenTrace": ".token",
+    "TokenStats": ".token",
+    "is_token_trace": ".token",
+    "serialize_to_token": ".token",
+    "LineNetwork": ".line",
+    "LineTransformResult": ".line",
+    "LineTransformStats": ".line",
+    "ring_to_line": ".line",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

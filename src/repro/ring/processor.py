@@ -177,7 +177,12 @@ class RingAlgorithm(ABC):
         return None
 
     def validate_word(self, word: str) -> None:
-        """Raise :class:`ProtocolError` if ``word`` uses foreign letters."""
+        """Raise :class:`ProtocolError` if ``word`` uses foreign letters.
+
+        The first foreign letter, in word order, is the one named.
+        """
+        if set(word).issubset(self.alphabet):
+            return
         for letter in word:
             if letter not in self.alphabet:
                 raise ProtocolError(

@@ -104,7 +104,13 @@ class RandomScheduler(Scheduler):
         self._rng = random.Random(seed)
 
     def choose(self, candidates: Sequence[object]) -> int:
-        return self._rng.randrange(len(candidates))
+        # randrange(n) for n > 0 is _randbelow(n): the same draws, minus
+        # the argument checks.  One draw per ask, even for one candidate,
+        # so a reused scheduler continues from the same generator state.
+        count = len(candidates)
+        if not count:
+            return self._rng.randrange(0)  # raises randrange's ValueError
+        return self._rng._randbelow(count)
 
 
 class AdversarialScheduler(Scheduler):

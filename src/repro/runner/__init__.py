@@ -15,45 +15,29 @@ campaign across N machines (``--shard i/N``) and
 store with explicit conflict rules.
 """
 
-from repro.runner.campaign import (
-    CampaignExecution,
-    PartialExecution,
-    execute_campaign,
-)
-from repro.runner.executor import (
-    CellOutcome,
-    PlanExecution,
-    execute_plan,
-    report_from_store,
-)
-from repro.runner.ingest import IngestConflict, IngestReport, ingest_stores
-from repro.runner.sharding import (
-    SHARD_STRATEGIES,
-    lpt_assignment,
-    owns,
-    parse_shard,
-    shard_assignment,
-    shard_index,
-)
-from repro.runner.store import RunStore, StoredCell
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignExecution",
-    "CellOutcome",
-    "IngestConflict",
-    "IngestReport",
-    "PartialExecution",
-    "PlanExecution",
-    "RunStore",
-    "SHARD_STRATEGIES",
-    "StoredCell",
-    "execute_campaign",
-    "execute_plan",
-    "ingest_stores",
-    "lpt_assignment",
-    "owns",
-    "parse_shard",
-    "report_from_store",
-    "shard_assignment",
-    "shard_index",
-]
+# Each public name, in ``__all__`` order, and the submodule defining it.
+_EXPORTS = {
+    "CampaignExecution": ".campaign",
+    "CellOutcome": ".executor",
+    "IngestConflict": ".ingest",
+    "IngestReport": ".ingest",
+    "PartialExecution": ".campaign",
+    "PlanExecution": ".executor",
+    "RunStore": ".store",
+    "SHARD_STRATEGIES": ".sharding",
+    "StoredCell": ".store",
+    "execute_campaign": ".campaign",
+    "execute_plan": ".executor",
+    "ingest_stores": ".ingest",
+    "lpt_assignment": ".sharding",
+    "owns": ".sharding",
+    "parse_shard": ".sharding",
+    "report_from_store": ".executor",
+    "shard_assignment": ".sharding",
+    "shard_index": ".sharding",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

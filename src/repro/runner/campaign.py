@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -567,6 +567,8 @@ def _run_campaign(
         assemblies=len(assemblies),
     )
     if jobs > 1 and len(pending) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             futures = {
                 pool.submit(_timed_run_cell, cell)

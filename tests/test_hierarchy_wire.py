@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bits import BitReader, Bits, encode_elias_gamma, encode_fixed
 from repro.core.hierarchy import HierarchyRecognizer
@@ -175,6 +177,52 @@ class TestMalformedMessages:
         assert [send.bits for send in sent] == [Bits("111" "01" "01")]
         sent = self._known_n_follower(2).on_receive(Bits("0" "01" "00"), Direction.CCW)
         assert [send.bits for send in sent] == [Bits("0" "00" "01")]
+
+
+class TestCountPass:
+    """The E9 follower's count fast path: phase 0 then gamma(v) is the
+    int v in 2 * bitlen(v) bits, answered with v + 1 the same way."""
+
+    def _follower(self):
+        return HierarchyRecognizer(LANGUAGE).create_processor("b", is_leader=False)
+
+    def test_fast_path_equals_the_codec_path(self):
+        follower = self._follower()
+        for v in range(1, 2**16 + 1):
+            message = Bits([0]) + encode_elias_gamma(v)
+            [send] = follower.on_receive(message, Direction.CCW)
+            assert send.bits == _hierarchy_reference(LANGUAGE, "b", message)
+            assert send.direction is Direction.CW
+
+    @pytest.mark.parametrize(
+        "message, wording",
+        [
+            ("0", "attempt to read past the end of the message"),
+            ("0000", "attempt to read past the end of the message"),
+            ("0001", "attempt to read 2 bits with only 0 left"),
+            ("011", "1 unread bits at end of message"),
+            ("00101", "1 unread bits at end of message"),
+            ("00110", "1 unread bits at end of message"),
+        ],
+    )
+    def test_malformed_count_messages_keep_the_codec_errors(self, message, wording):
+        with pytest.raises(DecodeError) as raised:
+            self._follower().on_receive(Bits(message), Direction.CCW)
+        assert str(raised.value) == wording
+
+    @given(tail=st.text(alphabet="01", max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_any_count_phase_message_matches_the_reference(self, tail):
+        message = Bits("0" + tail)
+        try:
+            expected = _hierarchy_reference(LANGUAGE, "b", message)
+        except DecodeError as error:
+            with pytest.raises(DecodeError) as raised:
+                self._follower().on_receive(message, Direction.CCW)
+            assert str(raised.value) == str(error)
+        else:
+            [send] = self._follower().on_receive(message, Direction.CCW)
+            assert send.bits == expected
 
 
 def test_leader_learns_n_after_a_full_run():

@@ -20,14 +20,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bits import encode_elias_gamma
 from repro.core.hierarchy import HierarchyRecognizer
 from repro.core.hierarchy import replay_segment as replay_hierarchy_segment
 from repro.core.known_n import KnownNHierarchyRecognizer
 from repro.core.known_n import replay_segment as replay_known_n_segment
 from repro.core.message_graph import build_message_graph, infinite_witness
 from repro.errors import ProtocolError, ReproError
-from repro.languages.hierarchy import STANDARD_GROWTHS, PeriodicLanguage
+from repro.languages.hierarchy import STANDARD_GROWTHS, GrowthFunction, PeriodicLanguage
 from repro.ring.unidirectional import run_unidirectional
 from repro.experiments import RunProfile, get_spec
 from repro.experiments.base import (
@@ -454,3 +457,104 @@ class TestSegmentReplay:
             replay_hierarchy_segment(language, "abab", 3, 2)
         with pytest.raises(ProtocolError):
             replay_known_n_segment(language, "abab", 0, 5)
+
+
+# The replays sum sizes in closed form.  The references below are the
+# per-position loops they replaced: every hop's size from the codec, the
+# fail flag from one comparison per position.
+
+
+def _codec_replay_hierarchy(language, word, start, stop):
+    n = len(word)
+    recognizer = HierarchyRecognizer(language)
+    p = recognizer.growth(n) // n
+    p_valid = 1 <= p <= n
+    count_bits = sum(1 + len(encode_elias_gamma(h + 1)) for h in range(start, stop))
+    compare_bits = 0
+    fail = 0
+    if p_valid:
+        for h in range(start, stop):
+            if h >= p and word[h] != word[h - p]:
+                fail = 1
+            compare_bits += recognizer.codec.encoded_size(
+                fail, max(p - 1 - h, 0), min(h + 1, p)
+            )
+    return {
+        "count_bits": count_bits,
+        "compare_bits": compare_bits,
+        "fail": fail,
+        "p_valid": p_valid,
+    }
+
+
+def _codec_replay_known_n(language, word, start, stop):
+    n = len(word)
+    recognizer = KnownNHierarchyRecognizer(language)
+    p = recognizer.block_length(n)
+    p_valid = 1 <= p <= n
+    bits = 0
+    fail = 0
+    if p_valid:
+        for h in range(start, stop):
+            if h >= p and word[h] != word[h - p]:
+                fail = 1
+            bits += recognizer.encoded_size(fail, min(h + 1, p))
+    return {"bits": bits, "fail": fail, "p_valid": p_valid}
+
+
+@st.composite
+def _replay_cases(draw):
+    """A language whose p = c is valid or not, a word, and a segment."""
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcde"]))
+    n = draw(st.integers(min_value=1, max_value=80))
+    c = draw(st.integers(min_value=0, max_value=n + 3))
+    language = PeriodicLanguage(GrowthFunction(f"{c}n", lambda m: c * m), alphabet)
+    if c and draw(st.booleans()):
+        block = draw(st.text(alphabet=alphabet, min_size=c, max_size=c))
+        word = (block * -(-n // c))[:n]
+        if draw(st.booleans()):
+            spot = draw(st.integers(min_value=0, max_value=n - 1))
+            word = word[:spot] + draw(st.sampled_from(alphabet)) + word[spot + 1 :]
+    else:
+        word = draw(st.text(alphabet=alphabet, min_size=n, max_size=n))
+    start = draw(st.integers(min_value=0, max_value=n))
+    stop = draw(st.integers(min_value=start, max_value=n))
+    return language, word, start, stop
+
+
+class TestClosedFormReplay:
+    @given(case=_replay_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_hierarchy_replay_equals_the_codec_loop(self, case):
+        language, word, start, stop = case
+        assert replay_hierarchy_segment(
+            language, word, start, stop
+        ) == _codec_replay_hierarchy(language, word, start, stop)
+
+    @given(case=_replay_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_known_n_replay_equals_the_codec_loop(self, case):
+        language, word, start, stop = case
+        assert replay_known_n_segment(
+            language, word, start, stop
+        ) == _codec_replay_known_n(language, word, start, stop)
+
+    @pytest.mark.parametrize("growth", STANDARD_GROWTHS, ids=lambda g: g.name)
+    def test_long_words_and_every_segment_edge(self, growth):
+        # Sizes where the count pass crosses several bit lengths and the
+        # filling run is long (p = n for n^2).
+        language = PeriodicLanguage(growth, "abc")
+        rng = random.Random(11)
+        for n in (255, 256, 1030):
+            for word in _probe_words(language, n):
+                p = language.block_length(n)
+                edges = {0, 1, p - 1, p, p + 1, n // 2, n - 1, n}
+                for start in sorted(edges & set(range(n + 1))):
+                    stop = rng.randint(start, n)
+                    for a, b in ((start, stop), (start, start), (start, n)):
+                        assert replay_hierarchy_segment(
+                            language, word, a, b
+                        ) == _codec_replay_hierarchy(language, word, a, b)
+                        assert replay_known_n_segment(
+                            language, word, a, b
+                        ) == _codec_replay_known_n(language, word, a, b)

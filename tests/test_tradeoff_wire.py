@@ -17,7 +17,7 @@ from repro.core.passes_tradeoff import (
     OnePassTradeoffRecognizer,
     TwoPassTradeoffRecognizer,
 )
-from repro.errors import DecodeError
+from repro.errors import DecodeError, ProtocolError
 from repro.languages.regular import tradeoff_language
 from repro.ring import Direction, run_unidirectional
 
@@ -116,3 +116,49 @@ class TestMalformedMessages:
         algorithm = TwoPassTradeoffRecognizer(tradeoff_language(3)).multipass
         for message in (Bits(""), Bits("10"), Bits("10110"), Bits("1" * 9)):
             assert algorithm.follower_step("0", None, message) == (None, message)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_one_pass_relay_errors_are_unchanged(self, k):
+        # The relay reads the packed int directly; a wrong length still
+        # goes through the codec for its error, and a foreign letter
+        # still fails the per-letter flip lookup.
+        transducer = OnePassTradeoffRecognizer(tradeoff_language(k)).transducer
+        width = k + transducer.modulus
+        with pytest.raises(DecodeError, match="unread bits at end of message"):
+            transducer.relay("0", Bits.zeros(width + 1))
+        with pytest.raises(DecodeError, match="attempt to read"):
+            transducer.relay("0", Bits.zeros(width - 1))
+        with pytest.raises(KeyError):
+            transducer.relay("z", Bits.zeros(width))
+
+    def test_two_pass_steps_build_the_codec_messages(self):
+        language = tradeoff_language(3)
+        algorithm = TwoPassTradeoffRecognizer(language).multipass
+        for count in range(language.modulus):
+            _, sent = algorithm.follower_step("0", None, encode_fixed(count, 3))
+            assert sent == encode_fixed((count + 1) % language.modulus, 3)
+        for value in range(16):
+            message = encode_fixed(value, 4)
+            _, sent = algorithm.follower_step("5", None, message)
+            flipped = language.alphabet[value >> 1] == "5"
+            assert sent == encode_fixed(value ^ 1 if flipped else value, 4)
+
+
+class TestValidateWord:
+    @pytest.mark.parametrize(
+        "recognizer",
+        [
+            OnePassTradeoffRecognizer(tradeoff_language(2)),
+            TwoPassTradeoffRecognizer(tradeoff_language(2)),
+        ],
+        ids=["one-pass", "two-pass"],
+    )
+    def test_names_the_first_foreign_letter(self, recognizer):
+        recognizer.validate_word("0123" * 3)
+        with pytest.raises(ProtocolError) as raised:
+            recognizer.validate_word("01y2x3")
+        assert str(raised.value) == (
+            f"letter 'y' not in algorithm alphabet {recognizer.alphabet!r}"
+        )
+        with pytest.raises(ProtocolError, match="letter 'x'"):
+            run_unidirectional(recognizer, "0x1y", trace="metrics")
