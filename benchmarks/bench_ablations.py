@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for three design choices of the constructions.
 
 Three ablations, each isolating one choice the paper's constructions make:
 

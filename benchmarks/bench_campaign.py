@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 
+from bench_harness import journals_in_tmp  # noqa: F401 (autouse fixture)
 from repro.experiments import RunProfile, get_spec
 from repro.runner import execute_campaign, execute_plan
 

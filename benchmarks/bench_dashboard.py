@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 
+from bench_harness import journals_in_tmp  # noqa: F401 (autouse fixture)
 from repro.dashboard import build_dashboard
 from repro.experiments import RunProfile, get_spec
 from repro.runner import RunStore, execute_campaign

@@ -1,6 +1,6 @@
 """Benchmark E1 — Theorems 1 and 6: regular languages cost ceil(log2|Q|)*n bits, uni and bidi.
 
-Regenerates the E1 table from EXPERIMENTS.md (full sweep) and asserts
+Regenerates the E1 table (full sweep; README.md lists E1-E12) and asserts
 the claimed shape.  See src/repro/experiments/e01_regular_linear.py for the
 sweep definition.
 """

@@ -1,6 +1,6 @@
 """Benchmark E2 — Theorem 2: message graphs - finite => DFA extraction, infinite => n log n witness.
 
-Regenerates the E2 table from EXPERIMENTS.md (full sweep) and asserts
+Regenerates the E2 table (full sweep; README.md lists E1-E12) and asserts
 the claimed shape.  See src/repro/experiments/e02_message_graph.py for the
 sweep definition.
 """

@@ -1,6 +1,6 @@
 """Benchmark E4 — Theorem 4: information-state counting on non-regular recognizers.
 
-Regenerates the E4 table from EXPERIMENTS.md (full sweep) and asserts
+Regenerates the E4 table (full sweep; README.md lists E1-E12) and asserts
 the claimed shape.  See src/repro/experiments/e04_info_states.py for the
 sweep definition.
 """

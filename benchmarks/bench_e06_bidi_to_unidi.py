@@ -1,6 +1,6 @@
 """Benchmark E6 — Theorem 7: bidirectional O(n) compiles to unidirectional O(n).
 
-Regenerates the E6 table from EXPERIMENTS.md (full sweep) and asserts
+Regenerates the E6 table (full sweep; README.md lists E1-E12) and asserts
 the claimed shape.  See src/repro/experiments/e06_bidi_to_unidi.py for the
 sweep definition.
 """

@@ -1,6 +1,6 @@
 """Benchmark E8 — Paragraph 7(2): 0^k 1^k 2^k costs Theta(n log n) with three counters.
 
-Regenerates the E8 table from EXPERIMENTS.md (full sweep) and asserts
+Regenerates the E8 table (full sweep; README.md lists E1-E12) and asserts
 the claimed shape.  See src/repro/experiments/e08_counters_nlogn.py for the
 sweep definition.
 """

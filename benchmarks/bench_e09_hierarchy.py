@@ -1,6 +1,6 @@
 """Benchmark E9 — Paragraph 7(3): the L_g hierarchy tracks Theta(g(n)).
 
-Regenerates the E9 table from EXPERIMENTS.md (full sweep) and asserts
+Regenerates the E9 table (full sweep; README.md lists E1-E12) and asserts
 the claimed shape.  See src/repro/experiments/e09_hierarchy.py for the
 sweep definition.
 """

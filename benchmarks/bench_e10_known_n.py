@@ -1,6 +1,6 @@
 """Benchmark E10 — Paragraph 7(4): known n brings the hierarchy down to Theta(n).
 
-Regenerates the E10 table from EXPERIMENTS.md (full sweep) and asserts
+Regenerates the E10 table (full sweep; README.md lists E1-E12) and asserts
 the claimed shape.  See src/repro/experiments/e10_known_n.py for the
 sweep definition.
 """

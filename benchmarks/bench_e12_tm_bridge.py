@@ -1,6 +1,6 @@
 """Benchmark E12 — Summary section: the TM->ring transformation.
 
-Regenerates the E12 table from EXPERIMENTS.md (full sweep) and asserts the
+Regenerates the E12 table (full sweep; README.md lists E1-E12) and asserts the
 claimed shape.  See src/repro/experiments/e12_tm_bridge.py for the sweep
 definition.
 """

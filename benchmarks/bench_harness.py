@@ -1,9 +1,9 @@
 """Shared helper for the benchmark harness.
 
 Each ``bench_eNN_*.py`` regenerates one experiment's table (the paper has
-no numbered tables/figures, so the experiment suite E1-E11 — one per
+no numbered tables/figures, so the experiment suite E1-E12 — one per
 theorem / §7 note — is the set of "tables" this harness reproduces; see
-DESIGN.md §4 and EXPERIMENTS.md).  The experiment runs once inside
+README.md's E1-E12 table).  The experiment runs once inside
 pytest-benchmark's timer (rounds=1: these are end-to-end sweeps, not
 microseconds), prints the regenerated table, and asserts the paper's
 claimed shape held.
@@ -14,7 +14,22 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.experiments import get_spec
+
+
+@pytest.fixture(autouse=True)
+def journals_in_tmp(tmp_path, monkeypatch):
+    """Write campaign journals under ``tmp_path``.
+
+    A campaign appends its journal to ``runs/_telemetry`` under the
+    working directory unless ``REPRO_TELEMETRY_DIR`` says otherwise.  A
+    bench file that runs campaigns imports this fixture, which applies
+    to every bench in it, so running the suite from the repository root
+    leaves ``runs/`` as it was.
+    """
+    monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "telemetry"))
 
 
 def bench_record(

@@ -22,6 +22,7 @@ import json
 import random
 import time
 
+from bench_harness import journals_in_tmp  # noqa: F401 (autouse fixture)
 from repro.experiments import RunProfile, get_spec
 from repro.experiments import e09_hierarchy, e10_known_n
 from repro.runner import execute_campaign

@@ -11,6 +11,7 @@ determinism, not speed.  Run with ``pytest benchmarks/bench_runner.py``.
 
 from __future__ import annotations
 
+from bench_harness import journals_in_tmp  # noqa: F401 (autouse fixture)
 from repro.experiments import RunProfile, get_spec
 from repro.runner import execute_plan
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+from bench_harness import journals_in_tmp  # noqa: F401 (autouse fixture)
 from repro.experiments import RunProfile, get_spec
 from repro.runner import RunStore, execute_campaign
 from repro.runner.sharding import campaign_assignment

@@ -4,7 +4,7 @@ The paper's claims are asymptotic classes (``O(n)``, ``Theta(n log n)``,
 ``Theta(n^2)``, ``Theta(g(n))``).  The experiments measure exact bit counts
 over sweeps of ``n`` and use :func:`repro.analysis.growth.classify_growth`
 to decide which model the curve follows; :mod:`repro.analysis.tables`
-renders the rows recorded in EXPERIMENTS.md.
+renders the rows of each experiment in README.md's E1-E12 table.
 """
 
 from repro._lazy import lazy_exports

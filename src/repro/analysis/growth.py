@@ -4,8 +4,8 @@ Given samples ``(n_i, bits_i)``, each candidate model ``f`` is scored by
 how *constant* the implied coefficient ``bits_i / f(n_i)`` is across the
 sweep (coefficient of variation over the larger-``n`` half, where the
 asymptotic regime dominates).  The winning model plus the fitted constant
-and an R-squared against ``c * f(n)`` form the :class:`FitResult` recorded
-in EXPERIMENTS.md.
+and an R-squared against ``c * f(n)`` form the :class:`FitResult` an
+experiment of README.md's E1-E12 table reports.
 
 The classifier deliberately avoids scipy curve fitting: the paper's claims
 are about *which shelf* a curve sits on, not parametric regression, and

@@ -6,8 +6,9 @@ its canonical string, and is what non-text presentation layers (the
 dashboard's HTML tables and CSV exports) consume, so a number formats
 identically in the terminal, a web page, and a spreadsheet.
 :func:`format_table` lays those strings out as the aligned ASCII table
-pasted into EXPERIMENTS.md, and :func:`rows_to_csv` writes them as
-RFC-4180 CSV; both are thin views over the same structured pass.
+each experiment of README.md's E1-E12 table prints, and
+:func:`rows_to_csv` writes them as RFC-4180 CSV; both are thin views over
+the same structured pass.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Command-line entry point: regenerate the EXPERIMENTS.md tables.
+"""Command-line entry point: regenerate the experiment tables (E1-E12).
 
 Usage::
 
@@ -35,11 +35,11 @@ flags — ``ring-repro <command> --help`` lists them — so a flag given to
 a command that does not read it is a usage error (exit 2).
 
 Presets select a sweep variant per experiment: ``quick`` (unit-test
-sizes), ``full`` (the EXPERIMENTS.md tables, default), and ``long`` —
-the counter-only experiments (E1, E7-E11) at ring sizes up to ~1.6*10^4,
-which stay cheap because those sweeps stream ``trace="metrics"`` (see
-PERFORMANCE.md); experiments without a dedicated long sweep fall back to
-their full one.  ``--sizes N,N,...`` overrides the ring sizes outright,
+sizes), ``full`` (the sweeps behind README.md's E1-E12 table, default),
+and ``long`` — the counter-only experiments (E1, E7-E11) at ring sizes
+up to ~1.6*10^4, which stay cheap because those sweeps stream
+``trace="metrics"`` (see PERFORMANCE.md); experiments without a
+dedicated long sweep fall back to their full one.  ``--sizes N,N,...`` overrides the ring sizes outright,
 for ad-hoc scaling runs.
 
 ``--mode`` adds the analytic-model axis (PERFORMANCE.md layer 7) for

@@ -29,13 +29,9 @@ so each pass costs ``O(n)`` bits and the pass count is a constant of the
 algorithm — ``O(n)`` overall, which is what Theorem 7 needs before handing
 off to Theorem 3.
 
-Substitution note (DESIGN.md): the paper quantifies over the abstract —
-possibly huge — set of reachable information states.  This implementation
-materializes the catalog by exhaustive simulation of the line algorithm on
-all words up to a configurable length (plus the theorem's finiteness
-corollaries guaranteeing the catalog stabilizes); equivalence with the
-source algorithm is then *verified* on held-out rings in the tests rather
-than assumed.
+The catalog is materialized by simulation, where the paper quantifies
+over every reachable information state: see SUBSTITUTIONS.md, "Theorem
+7, information-state catalog".
 """
 
 from __future__ import annotations

@@ -91,6 +91,17 @@ class MultipassAlgorithm(ABC):
         """Fresh follower memory (default None)."""
         return None
 
+    def pass_walk(self, width: int):
+        """A whole pass of memoryless followers on ``width``-bit packed ints.
+
+        A walk ``(letters, value) -> value | None`` folding
+        :meth:`follower_step` over the followers' letters (see
+        :class:`~repro.ring.processor.RelayProgram`), or None.  Only an
+        algorithm whose followers keep no memory may offer one.  The
+        default, None, steps every pass.
+        """
+        return None
+
 
 class _MultipassLeader(Processor):
     """Leader processor running a :class:`MultipassAlgorithm`.
@@ -172,7 +183,11 @@ class MultipassRingAlgorithm(RingAlgorithm):
         ):
             fresh = None  # the default memory: skip n calls returning None
         return RelayProgram(
-            algorithm.leader_start, algorithm.follower_step, pass_end, fresh
+            algorithm.leader_start,
+            algorithm.follower_step,
+            pass_end,
+            fresh,
+            algorithm.pass_walk,
         )
 
 

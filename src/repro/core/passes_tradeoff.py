@@ -28,6 +28,7 @@ from repro.core.multipass import MultipassAlgorithm, MultipassRingAlgorithm
 from repro.core.regular_onepass import OnePassTransducer, TransducerRingAlgorithm
 from repro.errors import ProtocolError
 from repro.languages.regular import TradeoffLanguage
+from repro.ring.processor import table_walk
 
 __all__ = [
     "TwoPassTradeoffRecognizer",
@@ -73,6 +74,24 @@ class _TwoPassTradeoff(MultipassAlgorithm):
         self._flipped = [
             encode_fixed(value ^ 1, self.k + 1) for value in range(1 << (self.k + 1))
         ]
+        # The same answers as per-letter rows of packed ints, for the
+        # pass walks: the count row serves every letter, and a letter's
+        # flip row flips the messages whose target it is.
+        count_row = [bits._value for bits in self._next_count]
+        self._count_walk = table_walk(
+            {letter: count_row for letter in self.alphabet}
+        )
+        self._flip_walk = table_walk(
+            {
+                letter: [
+                    self._flipped[value]._value
+                    if letter == self.alphabet[value >> 1]
+                    else value
+                    for value in range(1 << (self.k + 1))
+                ]
+                for letter in self.alphabet
+            }
+        )
 
     # -- helpers -----------------------------------------------------------
 
@@ -109,6 +128,14 @@ class _TwoPassTradeoff(MultipassAlgorithm):
         # Unknown shape (only reachable via the Theorem 3 enumerator, which
         # probes followers with arbitrary message-space elements): inert.
         return None, incoming
+
+    def pass_walk(self, width: int):
+        """The count table on pass 1's ``k`` bits, the flip table on pass 2's."""
+        if width == self.k:
+            return self._count_walk
+        if width == self.k + 1:
+            return self._flip_walk
+        return None
 
 
 class TwoPassTradeoffRecognizer(MultipassRingAlgorithm):
@@ -175,6 +202,36 @@ class _OnePassTradeoff(OnePassTransducer):
         count = ((value >> modulus) + 1) % modulus
         parities = (value ^ self._flip[letter]) & ((1 << modulus) - 1)
         return Bits._make(count << modulus | parities, width)
+
+    def pass_walk(self, width: int):
+        """The relay composed along the pass, on the message's width only.
+
+        Each follower adds one to the count (mod ``modulus``) and XORs
+        its letter's flip into the parities, so a pass adds the number
+        of followers and XORs the flip of each letter seen an odd number
+        of times.  The count is reduced only when there is a follower.
+        """
+        if width != self._width:
+            return None
+        flips = tuple(self._flip.items())
+        modulus = self.modulus
+        low = (1 << modulus) - 1
+
+        def walk(letters: str, value: int) -> "int | None":
+            if not letters:
+                return value
+            seen = 0
+            for letter, flip in flips:
+                times = letters.count(letter)
+                seen += times
+                if times & 1:
+                    value ^= flip
+            if seen != len(letters):
+                return None  # a letter outside the alphabet
+            count = ((value >> modulus) + len(letters)) % modulus
+            return count << modulus | (value & low)
+
+        return walk
 
     def decide(self, leader_letter: str, final: Bits) -> bool:
         count, parities = self.decode(final)

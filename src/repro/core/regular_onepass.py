@@ -18,7 +18,8 @@ run on either ring walks the word through its
 :meth:`~TransducerRingAlgorithm.relay_program`, and every full trace goes
 through its leader/follower processors, which are also the walk's test
 oracle.  Theorem 1's relay is a table lookup: per letter, a list from
-state index to the encoded next state.
+state index to the next state index, which also walks a whole pass
+(:meth:`OnePassTransducer.pass_walk`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ from repro.automata.minimize import minimize
 from repro.bits import Bits, decode_fixed, encode_fixed, fixed_width_for
 from repro.errors import ProtocolError
 from repro.ring.messages import Direction, Send
-from repro.ring.processor import Processor, RelayProgram, RingAlgorithm
+from repro.ring.processor import (
+    Processor,
+    RelayProgram,
+    RingAlgorithm,
+    table_walk,
+)
 
 __all__ = ["OnePassTransducer", "TransducerRingAlgorithm", "DFARecognizer"]
 
@@ -60,6 +66,16 @@ class OnePassTransducer(ABC):
     @abstractmethod
     def decide(self, leader_letter: str, final: Bits) -> bool:
         """The leader's decision upon the message's return."""
+
+    def pass_walk(self, width: int):
+        """The whole pass on packed ints, for ``width``-bit messages.
+
+        A walk ``(letters, value) -> value | None`` folding :meth:`relay`
+        over the followers' letters (see
+        :class:`~repro.ring.processor.RelayProgram`), or None.  The
+        default, None, steps every pass through :meth:`relay`.
+        """
+        return None
 
 
 class _TransducerLeader(Processor):
@@ -127,7 +143,9 @@ class TransducerRingAlgorithm(RingAlgorithm):
         def pass_end(letter: str, memory: None, final: Bits) -> tuple:
             return None, None, decide(letter, final)
 
-        return RelayProgram(start, step, pass_end)
+        return RelayProgram(
+            start, step, pass_end, pass_walk=transducer.pass_walk
+        )
 
 
 class _DFATransducer(OnePassTransducer):
@@ -142,18 +160,19 @@ class _DFATransducer(OnePassTransducer):
         }
         self._states_by_index = {v: k for k, v in self._order.items()}
         self._width = fixed_width_for(len(dfa.states))
-        # The relay's table: per letter, state index -> encoded next
-        # state, padded with None up to 2**width for the indices that
-        # name no state.
-        self._next: dict[str, list[Bits | None]] = {
+        # The relay's table: per letter, state index -> next state index,
+        # padded with None up to 2**width for the indices that name no
+        # state.
+        self._next: dict[str, list[int | None]] = {
             letter: [
-                self._encode(dfa.step(self._states_by_index[index], letter))
+                self._order[dfa.step(self._states_by_index[index], letter)]
                 if index in self._states_by_index
                 else None
                 for index in range(1 << self._width)
             ]
             for letter in dfa.alphabet
         }
+        self._walk = table_walk(self._next)
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -185,12 +204,16 @@ class _DFATransducer(OnePassTransducer):
         """
         try:
             if incoming._length == self._width:
-                encoded = self._next[letter][incoming._value]
-                if encoded is not None:
-                    return encoded
+                index = self._next[letter][incoming._value]
+                if index is not None:
+                    return encode_fixed(index, self._width)
         except (AttributeError, KeyError):
             pass
         return self._encode(self._dfa.step(self._decode(incoming), letter))
+
+    def pass_walk(self, width: int):
+        """The relay table, composed along the pass (state-index width only)."""
+        return self._walk if width == self._width else None
 
     def decide(self, leader_letter: str, final: Bits) -> bool:
         return self._decode(final) in self._dfa.accepting

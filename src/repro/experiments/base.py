@@ -6,8 +6,8 @@ asserting the paper's claimed shape held.
 
 Every runner takes a single *profile* argument describing which sweep to
 run.  A plain bool is the historical interface (``True`` = quick sweeps,
-as the unit tests use; ``False`` = the full sweeps recorded in
-EXPERIMENTS.md) and still works everywhere; a :class:`RunProfile` adds
+as the unit tests use; ``False`` = the full sweeps of README.md's
+E1-E12 table) and still works everywhere; a :class:`RunProfile` adds
 the ``long`` preset (n >= 10^4 metrics-mode sweeps for the counter-only
 experiments) and an explicit ``sizes`` override (the CLI's ``--sizes``).
 :meth:`Sweep.sizes` accepts either form, so experiment bodies stay

@@ -26,6 +26,9 @@ loop by the scheduler alone, and the trace policy picks only the sink.
   per-node memory in one list, and folds the sweep's
   :class:`~repro.ring.trace.TraceStats` counters directly.  No
   processor objects, no :class:`Send` and no list per message.  A
+  program whose followers keep no memory may also offer a whole-pass
+  walk on the packed int (Theorem 1's DFA table, the §7(5) recognizers),
+  which replaces a pass's n - 1 step calls when it answers.  A
   scheduler that is not ``round_batchable`` is still asked once per
   delivery, with the one-element candidate list the chooser loop would
   give it, so its state after the run is the chooser loop's.  Full
@@ -465,6 +468,15 @@ def run_relay(
     the counters are the sweep's: every pass is n deliveries, ``p_i``'s
     message crosses link ``i``, and one message is ever in flight.
 
+    A pass that fits under the message cap is walked whole when the
+    program offers a walk for its first message's width
+    (``program.pass_walk``): the walk folds the followers over the
+    packed int, every link carries ``width`` bits (one scalar, added to
+    every link at write-back), the pass costs ``width * n`` bits, and
+    one :class:`Bits` is built for ``pass_end``.  A pass with no walk,
+    a walk that answers None, or the cap inside it is stepped instead,
+    from its first follower, exactly as if no walk were offered.
+
     Model checks match the sweep's: a non-:class:`Bits` message is
     coerced where it is sent; the message cap raises the sweep's
     :class:`RingError` just before delivery ``max_messages + 1`` (so a
@@ -473,38 +485,62 @@ def run_relay(
 
     A ``scheduler`` that is not ``round_batchable`` is asked before
     every delivery, as :func:`run_chooser` would ask it (see
-    :func:`_asking`); the walk is the chooser loop's execution too.
+    :func:`_asking`); the walk is the chooser loop's execution too.  A
+    walked pass asks for its follower deliveries in one
+    :meth:`~repro.ring.schedulers.Scheduler.ask_each` call after the
+    walk, which is the same asks in the same order: the walked
+    followers have no effect the asks could observe or cut short.
     """
     n = len(word)
+    ask_each = None
     if scheduler is not None and not scheduler.round_batchable:
         program = _asking(program, scheduler, n)
-    start, step, pass_end, initial_memory = program
+        ask_each = scheduler.ask_each
+    start, step, pass_end, initial_memory, pass_walk = program
     memory = [None] * n
     if initial_memory is not None:
         memory[1:] = [initial_memory() for _ in range(n - 1)]
+    followers = word[1:]
+    # The codes of a pass's follower deliveries: CW out of p_0 .. p_{n-2}.
+    follower_codes = range(1, 2 * n - 2, 2)
     leader_letter = word[0]
     leader_memory, bits = start(leader_letter)
     if bits.__class__ is not Bits:
         bits = Bits(bits)
-    link_bits = [0] * n
+    link_bits = [0] * n  # on the stepped passes
+    walked_bits = 0  # carried by every link on the walked passes
+    stepped = False
     pass_bits: list[int] = []
     delivered = 0
     while True:
         # A pass is n deliveries: to p_1 .. p_{n-1}, then to the leader.
         budget = max_messages - delivered
-        last = n - 1 if budget >= n else budget
         size = bits._length
-        link_bits[0] += size
-        total = size
-        for i in range(1, last + 1):
-            memory[i], bits = step(word[i], memory[i], bits)
-            if bits.__class__ is not Bits:
-                bits = Bits(bits)
-            size = bits._length
-            link_bits[i] += size
-            total += size
-        if budget < n:
-            raise _cap_error(max_messages, n, False)
+        value = None
+        if pass_walk is not None and budget >= n:
+            walk = pass_walk(size)
+            if walk is not None:
+                value = walk(followers, bits._value)
+        if value is not None:
+            if ask_each is not None:
+                ask_each(follower_codes)
+            bits = Bits._make(value, size)
+            walked_bits += size
+            total = size * n
+        else:
+            stepped = True
+            last = n - 1 if budget >= n else budget
+            link_bits[0] += size
+            total = size
+            for i in range(1, last + 1):
+                memory[i], bits = step(word[i], memory[i], bits)
+                if bits.__class__ is not Bits:
+                    bits = Bits(bits)
+                size = bits._length
+                link_bits[i] += size
+                total += size
+            if budget < n:
+                raise _cap_error(max_messages, n, False)
         delivered += n
         pass_bits.append(total)
         leader_memory, bits, decision = pass_end(
@@ -520,6 +556,10 @@ def run_relay(
     stats = TraceStats(word)
     stats.total_bits = sum(pass_bits)
     stats.message_count = delivered
+    if not stepped:
+        link_bits = [walked_bits] * n
+    elif walked_bits:
+        link_bits = [size + walked_bits for size in link_bits]
     stats.link_bits = link_bits
     stats.sent_counts = [len(pass_bits)] * n
     stats.pass_bits = pass_bits
@@ -532,14 +572,16 @@ def run_relay(
 def _asking(
     program: "RelayProgram", scheduler: "Scheduler", n: int
 ) -> "RelayProgram":
-    """``program`` with ``scheduler`` asked before each delivery.
+    """``program`` with ``scheduler`` asked before each stepped delivery.
 
     With one message in flight the chooser loop's candidate list is the
     single code ``2*sender + 1`` (CW out of the sender), a fresh list
     per delivery.  A pass's steps are sent by ``p_0 .. p_{n-2}`` and its
     pass end by ``p_{n-1}``.  The walk calls a step only for a delivery
     under the cap, so the scheduler is asked exactly when the chooser
-    loop would ask it: after the cap check and before the handler.
+    loop would ask it: after the cap check and before the handler.  A
+    walked pass calls no step; :func:`run_relay` asks for its followers
+    through ``ask_each`` and its pass end here.
     """
     step, pass_end = program.step, program.pass_end
     choose = scheduler.choose

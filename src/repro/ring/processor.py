@@ -15,7 +15,8 @@ accepts or rejects the pattern.  Correspondingly:
 * :class:`RelayProgram` — the step form of a single-token algorithm,
   which an algorithm may declare through
   :meth:`RingAlgorithm.relay_program` so either ring can walk the word
-  instead of building processors.
+  instead of building processors; :func:`table_walk` builds its
+  optional whole-pass form from per-letter tables.
 
 Processors communicate *only* by returning :class:`~repro.ring.messages.Send`
 requests from their handlers; they have no access to ``n`` or to the global
@@ -31,7 +32,13 @@ from repro.bits import Bits
 from repro.errors import ProtocolError
 from repro.ring.messages import Direction, Send
 
-__all__ = ["Processor", "LeaderMixin", "RingAlgorithm", "RelayProgram"]
+__all__ = [
+    "Processor",
+    "LeaderMixin",
+    "RingAlgorithm",
+    "RelayProgram",
+    "table_walk",
+]
 
 
 class Processor(ABC):
@@ -101,6 +108,10 @@ class LeaderMixin:
     """Marker mixin for leader-specific processor classes (documentation aid)."""
 
 
+# A whole pass on packed ints: ``walk(letters, value) -> value | None``.
+PassWalk = Callable[[str, int], "int | None"]
+
+
 class RelayProgram(NamedTuple):
     """A single-token algorithm in step form.
 
@@ -120,13 +131,48 @@ class RelayProgram(NamedTuple):
       None ends the run, otherwise ``message`` starts the next pass, and
       neither ends the run undecided;
     * ``initial_memory() -> memory`` — a fresh follower's memory, or
-      None when every follower starts with None (which saves n calls).
+      None when every follower starts with None (which saves n calls);
+    * ``pass_walk(width) -> walk | None`` — optional, for algorithms
+      whose followers keep no memory (``step`` returns the memory it is
+      given) on passes whose messages are all ``width`` bits wide:
+      ``walk(letters, value) -> value | None`` folds the followers
+      ``p_1 .. p_{n-1}`` (``letters`` is ``word[1:]``) over the packed
+      int of the pass's first message, returning the packed int
+      ``p_{n-1}`` sends.  ``pass_walk`` answers None for a width it
+      does not cover, and ``walk`` wherever a follower would not answer
+      inside the walk's table (a value naming no state, a letter outside
+      the alphabet); the pass is then stepped, so every error keeps its
+      exact type and wording.  :func:`~repro.ring.delivery.run_relay`
+      calls ``pass_walk`` once per pass, with the width of the pass's
+      first message.
     """
 
     start: Callable[[str], "tuple[Any, Bits]"]
     step: Callable[[str, Any, Bits], "tuple[Any, Bits]"]
     pass_end: Callable[[str, Any, Bits], "tuple[Any, Bits | None, Any]"]
     initial_memory: "Callable[[], Any] | None" = None
+    pass_walk: "Callable[[int], PassWalk | None] | None" = None
+
+
+def table_walk(rows: "dict[str, Sequence[int | None]]") -> PassWalk:
+    """A pass walk from per-letter tables of the followers' answers.
+
+    ``rows[letter][value]`` is the packed int a follower holding
+    ``letter`` sends on receiving ``value``, or None where it would not
+    answer from the table.  The walk composes the rows along the
+    letters and answers None as soon as a letter has no row or a value
+    no entry.
+    """
+
+    def walk(letters: str, value: int) -> "int | None":
+        try:
+            for letter in letters:
+                value = rows[letter][value]
+        except (KeyError, IndexError, TypeError):  # no row, no entry, None
+            return None
+        return value
+
+    return walk
 
 
 class RingAlgorithm(ABC):

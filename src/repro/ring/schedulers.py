@@ -15,14 +15,17 @@ For processor-driven runs the scheduler alone picks the delivery engine
 round-batched sweep, any other the chooser loop, whatever the trace
 policy.  A ``trace="metrics"`` run of a single-token relay program walks
 the word instead, under every scheduler, and still asks a scheduler that
-is not ``round_batchable`` once per delivery.
+is not ``round_batchable`` once per delivery — a walked pass's follower
+deliveries through one :meth:`Scheduler.ask_each` call.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from repro.ring.delivery import _choice_error
 
 __all__ = [
     "Scheduler",
@@ -31,6 +34,10 @@ __all__ = [
     "RandomScheduler",
     "AdversarialScheduler",
 ]
+
+# CPython's stock ``_randbelow(n)`` draws ``getrandbits(n.bit_length())``
+# until the draw is below ``n``: for ``n = 1``, ``getrandbits(1)`` until 0.
+_STOCK_RANDBELOW = getattr(random.Random, "_randbelow_with_getrandbits", None)
 
 
 class Scheduler(ABC):
@@ -59,6 +66,12 @@ class Scheduler(ABC):
     raises :class:`TypeError` unless the body also sets
     ``round_batchable`` (False to be asked, True to declare the override
     a pure FIFO).
+
+    :meth:`ask_each` asks for a run of one-candidate deliveries at once
+    (the relay walk's walked passes).  Its promise: the scheduler ends
+    in the state, and raises the error, that asking ``choose([code])``
+    for each code in order and rejecting any answer but 0 would give.
+    An override must keep that promise; the default is that loop.
     """
 
     round_batchable = False
@@ -79,6 +92,18 @@ class Scheduler(ABC):
     @abstractmethod
     def choose(self, candidates: Sequence[object]) -> int:
         """Index into ``candidates`` of the delivery to perform next."""
+
+    def ask_each(self, codes: Iterable[object]) -> None:
+        """Ask ``choose([code])`` for each code, in order.
+
+        Raises the chooser loop's :class:`~repro.errors.RingError` at the
+        first answer outside the one-element list.
+        """
+        choose = self.choose
+        for code in codes:
+            chosen = choose([code])
+            if not 0 <= chosen < 1:
+                raise _choice_error(chosen, 1)
 
 
 class FifoScheduler(Scheduler):
@@ -111,6 +136,25 @@ class RandomScheduler(Scheduler):
         if not count:
             return self._rng.randrange(0)  # raises randrange's ValueError
         return self._rng._randbelow(count)
+
+    def ask_each(self, codes: Iterable[object]) -> None:
+        """``choose([code])``'s draw per code: ``_randbelow(1)``, always 0.
+
+        On a stock generator that draw is ``getrandbits(1)`` until 0,
+        made inline here; a subclass that overrides ``choose``, or a
+        generator with its own ``_randbelow``, is asked the long way.
+        """
+        rng = self._rng
+        if (
+            type(self).choose is not RandomScheduler.choose
+            or _STOCK_RANDBELOW is None
+            or getattr(type(rng), "_randbelow", None) is not _STOCK_RANDBELOW
+        ):
+            return super().ask_each(codes)
+        getrandbits = rng.getrandbits
+        for _ in codes:
+            while getrandbits(1):
+                pass
 
 
 class AdversarialScheduler(Scheduler):

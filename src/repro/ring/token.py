@@ -18,11 +18,8 @@ Two artifacts here:
   is exactly one flag bit per message (< 2x); for genuinely chaotic
   algorithms the measured overhead is reported by experiment E5.
 
-  Substitution note (recorded in DESIGN.md): [TL]'s construction achieves a
-  3x bound for arbitrary chaotic algorithms with a more intricate pickup
-  protocol; this library implements the simpler serialization above, which
-  is exact for the token-style algorithms the paper's recognizers use, and
-  reports measured ratios instead of assuming the 3x bound.
+  This departs from [TL]'s 3x construction: see SUBSTITUTIONS.md,
+  "Theorem 5, token serialization".
 
 Scheduling model and complexity
 -------------------------------
