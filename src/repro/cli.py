@@ -24,7 +24,6 @@ Usage::
     ring-repro ingest shard-* --into fleet --strip-seconds # byte-diffable
     ring-repro trace                # replay the latest campaign journal
     ring-repro trace --campaign ID  # ...or a specific one
-    ring-repro ledger seed          # fold BENCH_*.json into the ledger
     ring-repro ledger append FILE --run-id ID  # record one bench run
     ring-repro ledger check         # gate: newest run vs drift bands
     python -m repro.cli E9          # equivalent module form
@@ -115,10 +114,11 @@ finalizes, store writes — to an append-only JSONL sidecar under
 relocates it, ``REPRO_NO_TELEMETRY=1`` disables it, and stores, tables,
 and dashboards are byte-identical either way).  ``trace`` replays a
 journal into a critical-path report with per-worker idle attribution
-and declared-weight calibration; ``ledger`` maintains
-``benchmarks/LEDGER.jsonl`` — the append-only perf-regression ledger —
-and ``ledger check`` exits nonzero when the newest bench run drifts
-out of its robust trailing bands (the CI gate).
+and declared-weight calibration; ``ledger append`` records one
+benchmark run (the records ``perfbench/run.py`` writes to
+``perfbench/out/``) into ``benchmarks/LEDGER.jsonl`` — the append-only
+perf-regression ledger — and ``ledger check`` exits nonzero when the
+newest run drifts out of its robust trailing bands (the CI gate).
 """
 
 from __future__ import annotations
@@ -554,33 +554,19 @@ def _run_trace(args) -> int:
 
 
 def _run_ledger(args) -> int:
-    """The ``ledger`` command: seed / append / check the perf ledger.
+    """The ``ledger`` command: append to / check the perf ledger.
 
-    ``seed`` folds every ``BENCH_*.json`` under ``--bench-dir`` into the
-    ledger (idempotent); ``append FILE`` records one fresh bench run;
-    ``check`` validates the newest run against its trailing drift bands
-    and exits nonzero on violation (the CI gate).
+    ``append FILE`` records one fresh bench run; ``check`` validates the
+    newest run against its trailing drift bands and exits nonzero on
+    violation (the CI gate).
     """
     import json as json_mod
     from pathlib import Path
 
-    from repro.obs.ledger import (
-        append_run,
-        check_ledger,
-        normalize_bench_file,
-        seed_ledger,
-    )
+    from repro.obs.ledger import append_run, check_ledger, normalize_bench_file
 
     path = args.ledger
     try:
-        if args.action == "seed":
-            added, skipped = seed_ledger(args.bench_dir, path)
-            print(
-                f"ledger seed: {added} entr{'y' if added == 1 else 'ies'} "
-                f"added to {path} from {args.bench_dir} "
-                f"({skipped} file(s) skipped: already seeded or empty)"
-            )
-            return 0
         if args.action == "append":
             bench_path = Path(args.file)
             records = normalize_bench_file(bench_path)
@@ -867,16 +853,10 @@ def command_parser(command: str) -> argparse.ArgumentParser:
 
 
 def _ledger_actions(parser: argparse.ArgumentParser) -> None:
-    """``ledger seed | append FILE | check`` as sub-parsers."""
+    """``ledger append FILE | check`` as sub-parsers."""
     from repro.obs.ledger import DEFAULT_LEDGER, DEFAULT_REL_FLOOR
 
     actions = parser.add_subparsers(dest="action", required=True)
-    seed = actions.add_parser(
-        "seed", help="fold every BENCH_*.json into the ledger (idempotent)"
-    )
-    seed.add_argument("--bench-dir", metavar="DIR", default="benchmarks",
-        help="directory scanned for BENCH_*.json records "
-        "(default: benchmarks/)")
     append = actions.add_parser("append", help="record one bench run")
     append.add_argument("file", metavar="FILE", help="the bench JSON file")
     append.add_argument("--run-id", metavar="ID",
@@ -889,7 +869,7 @@ def _ledger_actions(parser: argparse.ArgumentParser) -> None:
         help="minimum band halfwidth as a fraction of the median, keeping "
         "deterministic metrics (MAD 0) from failing every change "
         f"(default: {DEFAULT_REL_FLOOR})")
-    for action in (seed, append, check):
+    for action in (append, check):
         action.add_argument("--ledger", metavar="PATH",
             default=str(DEFAULT_LEDGER),
             help=f"the ledger file (default: {DEFAULT_LEDGER})")

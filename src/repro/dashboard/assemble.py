@@ -17,7 +17,6 @@ pages instead of failing; nothing here ever runs a measurement.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -25,7 +24,7 @@ from repro.analysis.growth import FitResult, classify_growth
 from repro.errors import ReproError
 from repro.experiments import ALL_SPECS, ExperimentResult, RunProfile
 from repro.experiments.base import ExperimentSpec
-from repro.runner.sharding import shard_index
+from repro.runner.sharding import lpt_place, shard_index
 from repro.runner.store import RunStore
 
 __all__ = [
@@ -352,14 +351,8 @@ def lpt_schedule(
                     (-cell.seconds, exp_index, cell_index, -1, cell)
                 )
     weighted.sort(key=lambda item: item[:4])
+    placed, makespan = lpt_place([item[4].seconds for item in weighted], jobs)
     lanes: "list[list]" = [[] for _ in range(jobs)]
-    heap = [(0.0, lane) for lane in range(jobs)]
-    heapq.heapify(heap)
-    makespan = 0.0
-    for _neg, exp_index, _cell_index, _part_index, cell in weighted:
-        load, lane = heapq.heappop(heap)
-        lanes[lane].append((exp_index, cell, load))
-        load += cell.seconds
-        makespan = max(makespan, load)
-        heapq.heappush(heap, (load, lane))
+    for (_neg, exp_index, _c, _p, cell), (lane, start) in zip(weighted, placed):
+        lanes[lane].append((exp_index, cell, start))
     return lanes, makespan

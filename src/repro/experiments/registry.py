@@ -1,11 +1,11 @@
 """Experiment registry: id -> cell-plan spec.
 
-The CLI, the benchmarks, and the integration tests all resolve experiments
-through this table, so there is exactly one definition of each sweep.
-Each :class:`~repro.experiments.base.ExperimentSpec` is the one entry
-point: ``get_spec(id).run(profile)`` measures serially in-process, and
-the parallel executor and the run store (``repro.runner``) consume its
-cells.  :data:`ALL_EXPERIMENTS` is the ordered tuple of ids.
+The CLI, the benchmark (``perfbench/``), and the tests all resolve
+experiments through this table, so there is exactly one definition of
+each sweep.  Each :class:`~repro.experiments.base.ExperimentSpec` is
+the one entry point: ``get_spec(id).run(profile)`` measures serially
+in-process, and the parallel executor and the run store
+(``repro.runner``) consume its cells.  :data:`ALL_EXPERIMENTS` is the ordered tuple of ids.
 
 A profile is a legacy bool (True = quick) or a
 :class:`~repro.experiments.base.RunProfile` carrying a preset

@@ -11,10 +11,11 @@ Three zero-dependency pieces threaded through the runner stack:
   decomposition, per-worker utilization with idle-gap attribution,
   a planned-weight vs actual-seconds calibration table, and
   per-experiment/per-mode rollups (``ring-repro trace``).
-* :mod:`repro.obs.ledger` — folds ``benchmarks/BENCH_*.json`` plus
-  fresh bench runs into an append-only ``benchmarks/LEDGER.jsonl`` with
-  robust per-benchmark drift bands (``ring-repro ledger check`` gates
-  CI on them).
+* :mod:`repro.obs.ledger` — appends benchmark runs (the records
+  ``perfbench/run.py`` writes) to ``benchmarks/LEDGER.jsonl``, which
+  already holds the historical ``BENCH_*.json`` snapshots, and checks
+  the newest run against robust per-metric drift bands
+  (``ring-repro ledger check`` gates CI on them).
 """
 
 from repro.obs.journal import (

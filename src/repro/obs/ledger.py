@@ -5,16 +5,16 @@ instead of a graveyard: one JSON object per line::
 
     {"run": ..., "recorded": ..., "name": ..., "value": ..., "unit": ..., "context": ...}
 
-* ``ring-repro ledger seed`` folds every historical ``BENCH_*.json``
-  into the ledger (idempotent — a run id already present is skipped),
-  normalizing each file's hand-grown schema through
-  :func:`normalize_bench_data`;
 * ``ring-repro ledger append FILE`` appends one fresh bench run
-  (``benchmarks/quick_bench.py`` emits the canonical
-  ``{"records": [{name, value, unit, context}]}`` shape);
+  (``perfbench/run.py`` writes the canonical
+  ``{"records": [{name, value, unit, context}]}`` shape to
+  ``perfbench/out/``);
 * ``ring-repro ledger check`` validates the **newest run** against the
   trailing history of each of its metrics and exits nonzero when a
   value leaves its band.
+
+The historical ``BENCH_*.json`` snapshots are already folded into the
+ledger, one run per file named after it.
 
 Bands are robust by construction: center = median of the trailing
 window, halfwidth = ``max(k * MAD, rel_floor * |median|, abs_floor)``.
@@ -24,7 +24,7 @@ relative floor keeps a proportional corridor open; metrics with fewer
 than ``min_history`` prior points are reported as *new* and pass.  When
 a metric legitimately shifts regimes, append fresh runs until the
 trailing window is dominated by the new level (or check with a smaller
-``--window``) — the ledger is append-only on principle, like the run
+``window``) — the ledger is append-only on principle, like the run
 store.
 
 Normalization of arbitrary bench JSON (:func:`normalize_bench_data`)
@@ -52,7 +52,6 @@ __all__ = [
     "normalize_bench_data",
     "normalize_bench_file",
     "read_ledger",
-    "seed_ledger",
 ]
 
 DEFAULT_LEDGER = Path("benchmarks") / "LEDGER.jsonl"
@@ -224,44 +223,6 @@ def append_run(
     return len(records)
 
 
-def seed_ledger(
-    bench_dir: "str | Path", path: "str | Path"
-) -> "tuple[int, int]":
-    """Fold every ``BENCH_*.json`` into the ledger, idempotently.
-
-    Each file is one run (its filename the run id, its ``date``/
-    ``snapshot`` field the recorded stamp); files whose run id the
-    ledger already holds are skipped, so re-seeding is a no-op and the
-    CI gate can seed unconditionally.  Returns ``(entries_added,
-    files_skipped)``.
-    """
-    bench_dir = Path(bench_dir)
-    path = Path(path)
-    existing = {entry["run"] for entry in read_ledger(path)}
-    added = skipped = 0
-    for bench_path in sorted(bench_dir.glob("BENCH_*.json")):
-        run = bench_path.name
-        if run in existing:
-            skipped += 1
-            continue
-        try:
-            data = json.loads(bench_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            skipped += 1
-            continue
-        records = normalize_bench_data(data, context=run)
-        if not records:
-            skipped += 1
-            continue
-        recorded = ""
-        if isinstance(data, dict):
-            stamp = data.get("date") or data.get("snapshot")
-            recorded = stamp if isinstance(stamp, str) else ""
-        added += append_run(path, run, records, recorded=recorded)
-        existing.add(run)
-    return added, skipped
-
-
 class LedgerCheck:
     """One ``ledger check`` outcome: per-metric verdicts for the last run."""
 
@@ -317,8 +278,8 @@ def check_ledger(
     entries = read_ledger(path)
     if not entries:
         raise ReproError(
-            f"ledger {path} holds no entries; seed it first "
-            "(ring-repro ledger seed)"
+            f"ledger {path} holds no entries; record a bench run first "
+            "(ring-repro ledger append FILE)"
         )
     last_run = entries[-1]["run"]
     check = LedgerCheck(run=last_run)

@@ -47,6 +47,7 @@ __all__ = [
     "SHARD_STRATEGIES",
     "campaign_assignment",
     "lpt_assignment",
+    "lpt_place",
     "shard_assignment",
 ]
 
@@ -111,6 +112,27 @@ def owns(shard: "tuple[int, int]", cell: Cell) -> bool:
 SHARD_STRATEGIES = ("hash", "weight")
 
 
+def lpt_place(
+    weights: "Iterable[float]", lanes: int
+) -> "tuple[list[tuple[int, float]], float]":
+    """The greedy LPT loop: place ``weights``, in the order given, on lanes.
+
+    Each weight goes onto the lane with the least load so far — the
+    lowest lane index on ties — and is added to that lane's load.  The
+    caller orders the weights (heaviest first, with its own total
+    tie-break) and asks for at least one lane.  Returns each weight's
+    ``(lane, start)``, where ``start`` is the lane's load before it, and
+    the makespan (the largest final load).
+    """
+    loads = [0.0] * lanes
+    placed: "list[tuple[int, float]]" = []
+    for weight in weights:
+        lane = min(range(lanes), key=loads.__getitem__)
+        placed.append((lane, loads[lane]))
+        loads[lane] += weight
+    return placed, max(loads)
+
+
 def lpt_assignment(
     cells: "Iterable[tuple[str, Cell]]", total: int
 ) -> "dict[tuple[str, str], int]":
@@ -134,16 +156,14 @@ def lpt_assignment(
     """
     if total < 1:
         raise ReproError(f"shard fleets need at least one shard, got {total}")
-    loads = [0.0] * total
-    assignment: "dict[tuple[str, str], int]" = {}
     ordered = sorted(
         cells, key=lambda item: (-item[1].weight, item[0], item[1].key)
     )
-    for exp_id, cell in ordered:
-        target = min(range(total), key=loads.__getitem__)
-        assignment[(exp_id, cell.key)] = target
-        loads[target] += cell.weight
-    return assignment
+    placed, _makespan = lpt_place([cell.weight for _, cell in ordered], total)
+    return {
+        (exp_id, cell.key): lane
+        for (exp_id, cell), (lane, _start) in zip(ordered, placed)
+    }
 
 
 def shard_assignment(

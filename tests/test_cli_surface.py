@@ -73,13 +73,14 @@ REJECTIONS = [
     # ledger
     (["ledger"], "action"),
     (["ledger", "prune"], "prune"),
-    (["ledger", "seed", "extra"], "extra"),
+    (["ledger", "seed"], "seed"),
+    (["ledger", "check", "extra"], "extra"),
     (["ledger", "append"], "FILE"),
     (["ledger", "check", "--window", "4"], "--window"),
     (["ledger", "check", "--band-k", "3"], "--band-k"),
     (["ledger", "check", "--min-history", "2"], "--min-history"),
     (["ledger", "check", "--run-id", "r0"], "--run-id"),
-    (["ledger", "seed", "--rel-floor", "0.5"], "--rel-floor"),
+    (["ledger", "append", "f.json", "--rel-floor", "0.5"], "--rel-floor"),
 ]
 
 
@@ -104,7 +105,6 @@ ACCEPTED_FLAGS = {
     "ingest": {"--into", "--strip-seconds"},
     "trace": {"--campaign"},
     "ledger": set(),
-    "ledger seed": {"--ledger", "--bench-dir"},
     "ledger append": {"--ledger", "--run-id"},
     "ledger check": {"--ledger", "--rel-floor"},
 }

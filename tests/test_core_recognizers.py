@@ -88,15 +88,20 @@ class TestDFARecognizer:
         """Non-minimal automata still work, minimal ones cost fewer bits."""
         from repro.automata.regex import regex_to_nfa
 
-        big = regex_to_nfa("(a|b)*abb", "ab").determinize()
-        fat = DFARecognizer(big, minimal=False)
-        slim = DFARecognizer(big, minimal=True)
-        word = "ababb"
-        assert (
-            run_unidirectional(fat, word).decision
-            == run_unidirectional(slim, word).decision
-        )
-        assert slim.bits_per_message <= fat.bits_per_message
+        for pattern, word in (
+            ("(a|b)*abb", "ababb"),
+            ("(a|b)*a(a|b)(a|b)(a|b)", "ab" * 64),
+        ):
+            big = regex_to_nfa(pattern, "ab").determinize()
+            fat = DFARecognizer(big, minimal=False)
+            slim = DFARecognizer(big, minimal=True)
+            slim_trace = run_unidirectional(slim, word)
+            assert run_unidirectional(fat, word).decision == slim_trace.decision
+            assert slim.bits_per_message <= fat.bits_per_message
+            assert slim_trace.total_bits == slim.bits_per_message * len(word)
+        # The last pattern's subset automaton is strictly wider: Theorem
+        # 1's constant is the minimal automaton's.
+        assert slim.bits_per_message < fat.bits_per_message
 
     def test_second_message_to_follower_rejected(self):
         algorithm = DFARecognizer(parity_language().dfa)
@@ -128,7 +133,7 @@ class TestCounting:
             assert algorithm.last_leader.computed_n == n
 
     def test_exact_bits(self):
-        for n in [1, 5, 33, 128]:
+        for n in [1, 5, 33, 128, 512]:
             algorithm = CountingAlgorithm()
             trace = run_unidirectional(algorithm, "a" * n)
             assert trace.total_bits == predicted_counting_bits(n)
@@ -402,8 +407,14 @@ class TestCountingCodecAblation:
             trace = run_unidirectional(algorithm, "a" * n)
             assert algorithm.last_leader.computed_n == n
             assert trace.total_bits == predicted_unary_counting_bits(n)
-        # Quadratic beats n log n from small n on.
+        # Quadratic beats n log n from small n on, and the gap widens.
         assert predicted_unary_counting_bits(64) > 3 * predicted_counting_bits(64)
+        ratios = [
+            predicted_unary_counting_bits(n) / predicted_counting_bits(n)
+            for n in (16, 64, 512)
+        ]
+        assert ratios[0] < ratios[1] < ratios[2]
+        assert ratios[2] > 10
 
 
 class TestDyckRecognizer:

@@ -112,6 +112,8 @@ class TestDashboardDeterminism:
         store = RunStore(tmp_path / "runs")
         _populate(store, ("E8",))
         written = build_dashboard(store, QUICK, tmp_path / "site")
+        # index.html, one page per experiment, telemetry.html
+        assert sum(path.suffix == ".html" for path in written) == PAGE_COUNT + 2
         e8 = (tmp_path / "site" / "E8.html").read_text(encoding="utf-8")
         _assert_valid_html(e8)
         assert "<svg" in e8  # growth curves + wall-clock bars

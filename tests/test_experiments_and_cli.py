@@ -48,6 +48,13 @@ def test_experiment_passes_quick(exp_id):
     result.require_passed()
 
 
+@pytest.mark.parametrize("exp_id", list(ALL_EXPERIMENTS))
+def test_experiment_passes_full(exp_id):
+    """...and on the full sweep behind README.md's E1-E12 table (all
+    twelve take about 3 s)."""
+    get_spec(exp_id).run(RunProfile(preset="full")).require_passed()
+
+
 class TestExperimentResult:
     def test_render_contains_table_and_verdict(self):
         result = get_spec("E11").run(True)
@@ -123,6 +130,14 @@ class TestRunProfile:
             module = importlib.import_module(f"repro.experiments.{module_name}")
             assert module.SWEEP.long is not None, exp_id
             assert max(module.SWEEP.long) >= 10_000, exp_id
+        # E8's long sweep is shaped so no one cell dominates: its largest
+        # cell plans at most a third of the weight, leaving 2 or more
+        # workers something to run in parallel.
+        weights = [
+            cell.weight
+            for cell in get_spec("E8").cells(RunProfile(preset="long"))
+        ]
+        assert sum(weights) / max(weights) >= 3.0
 
 
 class TestCLIParsing:

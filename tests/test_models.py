@@ -215,6 +215,11 @@ class TestModeRouting:
         long_model = RunProfile(preset="long", mode="model")
         assert max(e9.SWEEP.sizes(long_model)) >= 2**20
         assert max(e10.SWEEP.sizes(long_model)) >= 2**20
+        # ...and a cell at that size is measured by the model, not skipped.
+        record = e9._measure(
+            {"growth": "n^2", "n": 2**20, "mode": "model"}, random.Random(0)
+        )
+        assert record["mode"] == "model" and not record["skipped"]
 
     def test_mode_distinguishes_cell_identity(self):
         sim_cells = {cell.key: cell for cell in e9.plan(QUICK)}

@@ -12,6 +12,8 @@ from repro.errors import RingError, TokenViolation
 from repro.languages.regular import parity_language
 from repro.ring import run_bidirectional, run_unidirectional
 from repro.ring.line import restore_from_line, ring_to_line
+from repro.ring.messages import Send
+from repro.ring.processor import Processor, RingAlgorithm
 from repro.ring.token import (
     assert_token_trace,
     is_token_trace,
@@ -23,6 +25,39 @@ from test_ring_simulators import EchoRing, PingPong
 
 def events_signature(events):
     return [(e.sender, e.receiver, e.direction, e.bits) for e in events]
+
+
+class _HeavyLeader(Processor):
+    """Sends one big block CW; accepts when the 1-bit ack returns."""
+
+    def on_start(self):
+        return [Send.cw(Bits.ones(512))]
+
+    def on_receive(self, message, arrived_from):
+        self.decide(True)
+        return ()
+
+
+class _Ack(Processor):
+    """Answers anything with one bit CW: the first follower shrinks the
+    block to an ack, the others pass the ack on."""
+
+    def on_receive(self, message, arrived_from):
+        return [Send.cw(Bits("1"))]
+
+
+class HeavyHandshake(RingAlgorithm):
+    """A maximally skewed link profile: link 0 carries ~all the bits."""
+
+    name = "heavy-handshake"
+
+    def __init__(self):
+        super().__init__("ab")
+
+    def create_processor(self, letter, is_leader):
+        if is_leader:
+            return _HeavyLeader(letter, is_leader=True)
+        return _Ack(letter, is_leader=False)
 
 
 class TestTokenPredicate:
@@ -178,6 +213,18 @@ class TestCutOverride:
             result = ring_to_line(trace, cut=cut)
             restored = restore_from_line(result)
             assert events_signature(restored) == events_signature(trace.events)
+
+    def test_cutting_the_heaviest_link_breaks_the_bound(self):
+        """Theorem 5 cuts the lightest link; its choice is load-bearing.
+
+        Rerouting the link that carries nearly every bit the long way
+        copies its payload n - 1 times, far past the 4x bound.
+        """
+        trace = run_unidirectional(HeavyHandshake(), "a" * 64)
+        totals = trace.bits_per_link()
+        heaviest = max(totals, key=totals.__getitem__)
+        assert ring_to_line(trace).ratio <= 4.0
+        assert ring_to_line(trace, cut=heaviest).ratio > 4.0
 
     def test_bad_cut_rejected(self):
         trace = run_unidirectional(EchoRing(), "ab")

@@ -816,6 +816,16 @@ class TestWeightStrategy:
             else:
                 items.append((spec.exp_id, cell))
         assignment = campaign_assignment(items, 2, "weight")
+        # Weight spreads a divisible cell's parts over shards; hash keys
+        # every part by its owning cell and keeps them on one shard.
+        for strategy, spread in (("weight", True), ("hash", False)):
+            shard_of = campaign_assignment(items, 2, strategy)
+            cell_shards: "dict[str, set[int]]" = {}
+            for exp_id, item in items:
+                cell_shards.setdefault(item.cell_key, set()).add(
+                    shard_of[(exp_id, item.key)]
+                )
+            assert any(len(s) > 1 for s in cell_shards.values()) is spread
         owned_items = {
             identity for identity, shard in assignment.items() if shard == 0
         }

@@ -32,7 +32,7 @@ from repro.core.message_graph import build_message_graph, infinite_witness
 from repro.errors import ProtocolError, ReproError
 from repro.languages.hierarchy import STANDARD_GROWTHS, GrowthFunction, PeriodicLanguage
 from repro.ring.unidirectional import run_unidirectional
-from repro.experiments import RunProfile, get_spec
+from repro.experiments import ALL_EXPERIMENTS, RunProfile, get_spec
 from repro.experiments.base import (
     Cell,
     Subtask,
@@ -77,6 +77,26 @@ class TestFoldIdentity:
         forward = {s.part: run_subtask(s) for s in subtasks}
         backward = {s.part: run_subtask(s) for s in reversed(subtasks)}
         assert fold_cell(cell, forward) == fold_cell(cell, backward)
+
+    def test_quick_plan_is_pinned(self):
+        """Golden (cells, divisible cells, subtasks) per experiment.
+
+        90 cells, 29 divisible, 133 subtasks in all: a plan that grows
+        or shrinks, or a cell that starts or stops splitting, fails here
+        by name.
+        """
+        counts = {}
+        for exp_id in ALL_EXPERIMENTS:
+            cells = get_spec(exp_id).cells(QUICK)
+            divisible = [cell for cell in cells if cell.divisible]
+            subtasks = sum(len(cell.subtasks()) for cell in divisible)
+            counts[exp_id] = (len(cells), len(divisible), subtasks)
+        assert counts == {
+            "E1": (4, 0, 0), "E2": (6, 1, 2), "E3": (1, 0, 0),
+            "E4": (7, 0, 0), "E5": (12, 0, 0), "E6": (1, 0, 0),
+            "E7": (12, 0, 0), "E8": (4, 0, 0), "E9": (16, 16, 80),
+            "E10": (12, 12, 51), "E11": (6, 0, 0), "E12": (9, 0, 0),
+        }
 
     def test_subtask_weights_sum_to_cell_weight(self):
         for exp_id in DIVISIBLE_EXPS:
